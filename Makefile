@@ -19,7 +19,11 @@ BENCH_PKGS = . ./internal/core/ ./internal/serve/
 # Baseline git ref for `make bench-compare`.
 BASE ?= HEAD~1
 
-.PHONY: build vet test race bench bench-json bench-compare profile trace obs-guard soak soak-ci soak-incremental serve-smoke verify
+.PHONY: fmt build vet test race bench bench-json bench-compare profile trace obs-guard soak soak-ci soak-incremental serve-smoke verify
+
+# gofmt must have nothing to say: any file it lists fails the gate.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -126,4 +130,4 @@ soak-ci:
 soak-incremental:
 	CHECK_INCR_N=2000 $(GO) test ./internal/check/ -run TestIncrementalClean -count=1 -timeout 30m -v
 
-verify: build vet test race
+verify: fmt build vet test race

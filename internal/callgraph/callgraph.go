@@ -263,34 +263,6 @@ func buildGraph(p *prog.Program, prev *Graph, clean []bool, opts []Option) *Grap
 	return g
 }
 
-// ReusableFor reports whether the call graph of p is structurally
-// identical to g: same routine count, same pinning option, and every
-// routine not marked clean re-scans to the same call edges, indirect
-// flag and address-taken flag (clean routines are hash-identical by the
-// caller's contract). This is the pure half of BuildIncremental's
-// structural-reuse fast path, exported so the in-place re-analysis can
-// prove the structure unchanged before it mutates anything.
-func (g *Graph) ReusableFor(p *prog.Program, clean []bool, pinIndirect bool) bool {
-	return g.reusableFor(p, clean, pinIndirect)
-}
-
-// Adopt re-points the graph at p, which ReusableFor must have accepted:
-// every derived structure (edge lists, condensation, wave schedules)
-// describes p verbatim then. Unlike BuildIncremental's fast path no
-// copy is made — the receiver itself is rebound, which is what the
-// in-place re-analysis wants, since it consumes the previous analysis
-// wholesale. The reuse is recorded on tr and published to m exactly
-// like the BuildIncremental fast path (either may be nil).
-func (g *Graph) Adopt(p *prog.Program, tr *obs.Tracer, m *obs.Metrics) {
-	g.prog = p
-	g.reused = true
-	sp := tr.MainThread().Begin("callgraph reuse")
-	sp.Arg("routines", int64(len(p.Routines))).End()
-	if m != nil {
-		publishGraphMetrics(m, g)
-	}
-}
-
 // publishGraphMetrics stores the callgraph/* shape counters for a
 // finished graph. Shared by the full build and the structural-reuse
 // fast path so both publish identical values.

@@ -306,7 +306,7 @@ func Build(p *prog.Program, ri int) *Graph {
 	g.predArena = make([]int, predTotal)
 	off := 0
 	for _, b := range g.Blocks {
-		b.Preds = g.predArena[off:off : off+predCount[b.ID]]
+		b.Preds = g.predArena[off : off : off+predCount[b.ID]]
 		off += predCount[b.ID]
 	}
 	for _, b := range g.Blocks {

@@ -24,8 +24,8 @@ func (g *Graph) computeLoopMemo() {
 	memo, on := bools[:n], bools[n:]
 	ints := make([]int32, 3*n, 5*n)
 	idx, low, iter := ints[:n], ints[n:2*n], ints[2*n:3*n]
-	sccStk := ints[3*n:3*n:4*n]
-	frames := ints[4*n:4*n:5*n]
+	sccStk := ints[3*n : 3*n : 4*n]
+	frames := ints[4*n : 4*n : 5*n]
 	next := int32(1)
 	for r := 0; r < n; r++ {
 		if idx[r] != 0 {

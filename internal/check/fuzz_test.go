@@ -23,7 +23,7 @@ func FuzzAnalyze(f *testing.F) {
 	f.Add("")
 	f.Add(tamperSrc)
 	f.Add(".start main\n.routine main\n  halt\n")
-	f.Add(".start main\n.routine main\n  jsr main\n") // call return site past the last instruction
+	f.Add(".start main\n.routine main\n  jsr main\n")         // call return site past the last instruction
 	f.Add(".start main\n.routine main\n  jsr main\n  halt\n") // call that can never return (MUST-DEF clamp)
 	f.Add(".start main\n.routine main\n  beq a0, L\n  halt\nL:\n  jmp t0, ?\n")
 	f.Fuzz(func(t *testing.T, src string) {

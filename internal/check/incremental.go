@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/prog"
@@ -19,6 +20,14 @@ import (
 // under all of them. Each cell also drives the edit backwards through
 // the consuming core.ReanalyzeInPlace and requires it to reproduce the
 // base analysis byte-for-byte.
+//
+// The cells of the first parallelism add two legs. One applies the
+// forward edit in place to an analysis restored from prev's saved
+// state, the warm start the daemon's snapshot path hands out. The
+// other re-checks prev against a fresh analysis after the reverse leg:
+// the copying result shares its layout-derived arrays with prev, so a
+// consuming write into one of them would change prev and the reverse
+// result alike, which their mutual comparison cannot see.
 
 // IncrementalPair checks one (base, mutant) program pair across the
 // option matrix. desc labels the edit in violation details.
@@ -30,9 +39,9 @@ func IncrementalPair(base, mutant *prog.Program, desc string, parallelisms []int
 	for _, open := range []bool{false, true} {
 		for _, branch := range []bool{true, false} {
 			for _, perEdge := range []bool{false, true} {
-				for _, par := range parallelisms {
+				for i, par := range parallelisms {
 					cfg := diffConfig{open: open, branchNodes: branch, perEdge: perEdge, parallelism: par}
-					checkIncrementalCell(c, cfg, base, mutant, desc)
+					checkIncrementalCell(c, cfg, base, mutant, desc, i == 0)
 				}
 			}
 		}
@@ -40,7 +49,7 @@ func IncrementalPair(base, mutant *prog.Program, desc string, parallelisms []int
 	return c.result()
 }
 
-func checkIncrementalCell(c *collector, cfg diffConfig, base, mutant *prog.Program, desc string) {
+func checkIncrementalCell(c *collector, cfg diffConfig, base, mutant *prog.Program, desc string, extraLegs bool) {
 	prev, err := core.Analyze(base, cfg.options()...)
 	if err != nil {
 		c.addf("incremental-base-rejected", "", "%s: %s: base analysis failed: %v", cfg, desc, err)
@@ -60,19 +69,53 @@ func checkIncrementalCell(c *collector, cfg diffConfig, base, mutant *prog.Progr
 		c.addf("incremental-stats-missing", "", "%s: %s: Reanalyze result carries no IncrementalStats", cfg, desc)
 	}
 	compareAnalyses(c, cfg, desc, inc, scratch)
+	if extraLegs {
+		checkRestoredInPlace(c, cfg, base, mutant, desc, prev, inc, scratch)
+	}
 
 	// Reverse edit through the consuming path: un-doing the mutation via
 	// ReanalyzeInPlace must land back on the base analysis exactly. inc
 	// is disposable here (it was fully compared above), which is the
 	// contract ReanalyzeInPlace asks for; prev stays live as the oracle.
 	// The reverse of a structural edit (e.g. un-adding a routine) takes
-	// the in-place fallback, so both of its paths get exercised.
+	// the general path, so both of the engine's paths get exercised.
 	back, err := core.ReanalyzeInPlace(inc, base, cfg.options()...)
 	if err != nil {
 		c.addf("incremental-inplace-rejected", "", "%s: %s: ReanalyzeInPlace (reverse) failed: %v", cfg, desc, err)
 		return
 	}
 	compareAnalyses(c, cfg, desc+" (reverse, in place)", back, prev)
+	if extraLegs {
+		fresh, err := core.Analyze(base, cfg.options()...)
+		if err != nil {
+			c.addf("incremental-base-rejected", "", "%s: %s: fresh base analysis failed: %v", cfg, desc, err)
+			return
+		}
+		compareAnalyses(c, cfg, desc+" (base after in-place reverse)", prev, fresh)
+	}
+}
+
+// checkRestoredInPlace applies the forward edit in place to prev's
+// snapshot restore and requires the scratch result and the same path
+// the copying re-analysis took; a body edit never changes the PSG
+// shape, so it must take the shape-preserving path.
+func checkRestoredInPlace(c *collector, cfg diffConfig, base, mutant *prog.Program, desc string, prev, inc, scratch *core.Analysis) {
+	restored, err := core.Rehydrate(base, prev.Export(), cfg.options()...)
+	if err != nil {
+		c.addf("incremental-restore-rejected", "", "%s: %s: Rehydrate failed: %v", cfg, desc, err)
+		return
+	}
+	fwd, err := core.ReanalyzeInPlace(restored, mutant, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-inplace-rejected", "", "%s: %s: ReanalyzeInPlace (restored) failed: %v", cfg, desc, err)
+		return
+	}
+	compareAnalyses(c, cfg, desc+" (restored, in place)", fwd, scratch)
+	shape := fwd.Incremental.ShapePreserving
+	if shape != inc.Incremental.ShapePreserving || (!shape && strings.HasPrefix(desc, "body-edit")) {
+		c.addf("incremental-path", "", "%s: %s: restored in-place shape-preserving=%v, copying=%v",
+			cfg, desc, shape, inc.Incremental.ShapePreserving)
+	}
 }
 
 // compareAnalyses requires the incremental result to equal the scratch

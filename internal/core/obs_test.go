@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/progen"
 )
 
 // TestMetricsDeterminism is the acceptance bar for the telemetry: the
@@ -188,5 +189,52 @@ func TestAnalyzeRequestSpans(t *testing.T) {
 		if count[stage] != 1 {
 			t.Errorf("request span %q appears %d times, want 1", stage, count[stage])
 		}
+	}
+}
+
+// TestReanalyzeSpanArgs traces one re-analysis and requires its
+// "reanalyze" span to carry all four args: obs.Span keeps at most four,
+// and perfbench's traced run reads routines and dirty_routines.
+func TestReanalyzeSpanArgs(t *testing.T) {
+	p := perfProgram()
+	prev, err := Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant, _ := progen.MutateKind(p, 3, progen.MutBodyEdit)
+	tr := obs.NewTracer()
+	if _, err := Reanalyze(prev, mutant, WithTracer(tr)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, ev := range doc.TraceEvents {
+		if ev.Name != "reanalyze" {
+			continue
+		}
+		found = true
+		for _, k := range []string{"routines", "dirty_routines", "resolved_components", "reused_components"} {
+			if _, ok := ev.Args[k]; !ok {
+				t.Errorf("reanalyze span lacks arg %q (args %v)", k, ev.Args)
+			}
+		}
+		if ev.Args["dirty_routines"] != 1.0 {
+			t.Errorf("dirty_routines = %v, want 1", ev.Args["dirty_routines"])
+		}
+	}
+	if !found {
+		t.Fatal("no reanalyze span in the trace")
 	}
 }

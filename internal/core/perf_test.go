@@ -6,8 +6,8 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/obs"
-	"repro/internal/progen"
 	"repro/internal/prog"
+	"repro/internal/progen"
 )
 
 // Allocation budgets for the fixed workload below (TestProfile(60),

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/callgraph"
 	"repro/internal/callstd"
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -136,43 +137,35 @@ type phaseSched struct {
 	// uncancellable path (selecting on a nil channel is a no-op).
 	cancel <-chan struct{}
 
-	// retSnap, when non-nil, puts the incremental drivers in snapshot
-	// mode: the first time a phase is about to overwrite a component's
-	// node sets, snapshotRets records its return nodes' MAY-USE sets —
-	// the previous analysis's converged liveness. The in-place
-	// re-analysis solves into the previous analysis's own slab, so the
-	// phase-2 cutoff cannot read the "previous" values out of a second
-	// copy the way the copying re-analysis does; it reads them from
-	// these snapshots instead. Indexed by component; nil entries mean
-	// "not yet captured".
-	retSnap [][]regset.Set
+	// retAt and retVals are the incremental re-analysis's record of the
+	// previous converged liveness it overwrites: before a phase first
+	// re-solves component c, snapshotRets appends its return nodes'
+	// MAY-USE sets, in member order, to retVals and sets retAt[c] to
+	// their offset plus one (zero: not yet captured). The phase-2 cutoff
+	// compares against these snapshots because the slab being solved
+	// holds the previous values only until the solve overwrites them.
+	// Both nil outside re-analysis.
+	retAt   []int32
+	retVals []regset.Set
 }
 
-// emptyRetSnap marks a snapshotted component with no return nodes,
-// keeping nil as retSnap's "not yet captured" sentinel.
-var emptyRetSnap = []regset.Set{}
-
-// snapshotRets records component c's return-node MAY-USE sets, in
-// member order, before a phase overwrites them. No-op outside snapshot
-// mode; idempotent per component (the first caller — phase-1 prep or
-// the phase-2 reset, whichever touches the component first — wins).
-// Distinct components may snapshot concurrently: each writes only its
-// own slot.
+// snapshotRets records component c's return-node MAY-USE sets unless
+// an earlier phase already did. Called serially, between waves.
 func (s *phaseSched) snapshotRets(c int) {
-	if s.retSnap == nil || s.retSnap[c] != nil {
+	if s.retAt[c] != 0 {
 		return
 	}
-	g := s.g
-	var snap []regset.Set
+	s.retAt[c] = int32(len(s.retVals)) + 1
 	for _, nid := range s.nodes(c) {
-		if g.Nodes[nid].Kind == NodeReturn {
-			snap = append(snap, g.Nodes[nid].MayUse)
+		if n := &s.g.Nodes[nid]; n.Kind == NodeReturn {
+			s.retVals = append(s.retVals, n.MayUse)
 		}
 	}
-	if snap == nil {
-		snap = emptyRetSnap
-	}
-	s.retSnap[c] = snap
+}
+
+// retSnapshot returns component c's return-node snapshot (see retAt).
+func (s *phaseSched) retSnapshot(c int) []regset.Set {
+	return s.retVals[s.retAt[c]-1:]
 }
 
 // cancelStride bounds how many worklist pops a solve loop performs
@@ -462,6 +455,29 @@ func (s *phaseSched) runWaves(name string, po *phaseObs, schedule [][]int, solve
 	return len(schedule), iters, cpu
 }
 
+// prepareIndirect collects the scheduler's §3.5 indirect-call
+// machinery: the indirect call-return edges and, in a closed world, the
+// primary entry nodes of address-taken routines (function pointers
+// denote the primary entrance).
+func (s *phaseSched) prepareIndirect() {
+	g := s.g
+	for i := range g.Edges {
+		if g.Edges[i].indirect(g) {
+			s.indirectEdges = append(s.indirectEdges, int32(i))
+		}
+	}
+	if s.conf.LinkIndirectCalls && len(s.indirectEdges) > 0 {
+		for ri, r := range g.Prog.Routines {
+			if r.AddressTaken {
+				s.addrTakenEntries = append(s.addrTakenEntries, g.EntryNodes[ri][0])
+			}
+		}
+		if len(s.addrTakenEntries) > 0 {
+			s.pinnedComp = s.cg.PinnedComponent()
+		}
+	}
+}
+
 // runPhase1 solves the Figure 8 equations component by component in
 // callee-first waves.
 //
@@ -474,23 +490,7 @@ func (s *phaseSched) runWaves(name string, po *phaseObs, schedule [][]int, solve
 // broadcast refines them downward.
 func (s *phaseSched) runPhase1() (waves, iters int, cpu time.Duration) {
 	g, conf := s.g, s.conf
-	for i := range g.Edges {
-		if g.Edges[i].indirect(g) {
-			s.indirectEdges = append(s.indirectEdges, int32(i))
-		}
-	}
-	if conf.LinkIndirectCalls && len(s.indirectEdges) > 0 {
-		for ri, r := range g.Prog.Routines {
-			if r.AddressTaken {
-				// Function pointers denote the primary entrance.
-				s.addrTakenEntries = append(s.addrTakenEntries, g.EntryNodes[ri][0])
-			}
-		}
-		if len(s.addrTakenEntries) > 0 {
-			s.pinnedComp = s.cg.PinnedComponent()
-		}
-	}
-
+	s.prepareIndirect()
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		n.MayUse, n.MayDef, n.MustDef = regset.Empty, regset.Empty, regset.All
@@ -698,9 +698,11 @@ func (g *PSG) phase2Seed(n *Node) regset.Set {
 
 // isRetExit reports whether an exit node's block ends in ret (halt exits
 // terminate the program and return to no caller).
-func (g *PSG) isRetExit(n *Node) bool {
-	graph := g.Graphs[n.Routine]
-	return graph.Terminator(graph.Blocks[n.Block]).Op == isa.OpRet
+func (g *PSG) isRetExit(n *Node) bool { return isRetBlock(g.Graphs[n.Routine], n.Block) }
+
+// isRetBlock reports whether block ends in ret.
+func isRetBlock(graph *cfg.Graph, block int) bool {
+	return graph.Terminator(graph.Blocks[block]).Op == isa.OpRet
 }
 
 // linkReturnSites populates the PSG's return-site links: liveness at a

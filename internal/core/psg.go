@@ -491,8 +491,9 @@ func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Dur
 // callers fill kind-specific fields through g.Nodes[id]. Extending into
 // capacity writes four scalars instead of copying a 100-byte Node
 // value. This relies on the slab's spare capacity being zero: fresh
-// makes and append growth both yield zeroed memory, and the in-place
-// re-assembly clears each rebuilt window before handing it back.
+// makes and append growth both yield zeroed memory, and the
+// shape-preserving re-assembly clears each rebuilt window before
+// handing it back.
 func (g *PSG) newNode(kind NodeKind, routine, block int) int {
 	id := len(g.Nodes)
 	if id < cap(g.Nodes) {
@@ -741,10 +742,10 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 			// for indirect calls (§3.5).
 			eid := g.addEdge(EdgeCallReturn, callID, retID)
 			if callTarget >= 0 {
-				// CallerEdges is nil while the incremental re-assembly
-				// rebuilds a dirty routine structurally (it shares the
-				// previous registration lists on success and re-registers
-				// from scratch on fallback), so registration is skipped.
+				// CallerEdges is nil while the shape-preserving
+				// re-assembly rebuilds a dirty routine (it keeps the
+				// previous registration lists, which its structure check
+				// proves still correct), so registration is skipped.
 				if g.CallerEdges != nil {
 					g.CallerEdges[callTarget][callEntry] = append(g.CallerEdges[callTarget][callEntry], eid)
 				}
@@ -1081,7 +1082,7 @@ const (
 func (g *PSG) MemoryFootprint() uint64 {
 	b := uint64(len(g.Nodes))*uint64(nodeSize) + uint64(len(g.Edges))*uint64(edgeSize)
 	b += 4 * uint64(len(g.outStart)+len(g.inStart)+len(g.outEdgeIDs)+len(g.inEdgeIDs))
-	b += 4 * uint64(len(g.retStart)+len(g.retSiteIDs)+len(g.depStart)+len(g.depExitIDs))
+	b += g.linkFootprint()
 	for r := range g.EntryNodes {
 		b += 8 * uint64(len(g.EntryNodes[r])+len(g.ExitNodes[r]))
 		for _, edges := range g.CallerEdges[r] {
@@ -1090,4 +1091,11 @@ func (g *PSG) MemoryFootprint() uint64 {
 	}
 	b += 8 * uint64(len(g.SavedRestored))
 	return b
+}
+
+// linkFootprint returns the resident bytes of the phase-2 return-site
+// links, the part of MemoryFootprint a shape-preserving re-analysis
+// can change.
+func (g *PSG) linkFootprint() uint64 {
+	return 4 * uint64(len(g.retStart)+len(g.retSiteIDs)+len(g.depStart)+len(g.depExitIDs))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // Incremental re-analysis (edit → converged analysis without paying for
 // the whole program again).
 //
-// Reanalyze exploits the structure the from-scratch pipeline already
+// The engine exploits the structure the from-scratch pipeline already
 // has: every PSG edge is intraprocedural, cross-routine information
 // moves only through entry-summary broadcasts (phase 1) and return-site
 // links (phase 2), and each SCC component of the call graph is a
@@ -46,24 +47,49 @@ import (
 //     callees (their return-site link structure changed), plus — in a
 //     closed world — the address-taken components when anything about
 //     indirect call sites changed. The cutoff compares each re-solved
-//     return node's liveness against the previous analysis and dirties
-//     the callee components only on a real change.
+//     return node's liveness against a snapshot taken before the
+//     component was first overwritten, and dirties the callee
+//     components only on a real change.
 //
 // Routine identity is positional: routine ri of the patched program is
 // compared by content hash (prog.Routine.Hash) against routine ri of
-// the previous program. Clean routines share their CFG and call-graph
-// edge scans with the previous analysis (both are read-only) and have
-// their PSG slab ranges copied — converged sets, edge labels and all —
-// with node and edge IDs shifted to their new offsets. The previous
-// Analysis is never mutated and remains fully queryable.
+// the previous program. Clean routines keep their CFGs, call-graph edge
+// scans, §3.4 frame facts and converged PSG ranges.
+//
+// One engine serves both entry points; they differ only in where the
+// result's storage lives. Reanalyze leaves prev intact: the result
+// starts from copies of prev's node and edge slabs and per-routine
+// tables (CFGs, summaries, body hashes). ReanalyzeInPlace consumes
+// prev: the result takes over prev's own slabs and tables and writes
+// the edit into them, which makes an edit O(edit) instead of paying an
+// O(program) copy. Everything derived from the slab layout — the call
+// graph, the frame facts and §3.4 sets, the CSR adjacency and index
+// lists, the return-site links, the scheduler shape — may be shared
+// with older analyses of a re-analysis chain, so it is shared when
+// unchanged and replaced, never written in place, when not.
+//
+// The engine makes one structural decision. An edit is shape-preserving
+// when every routine keeps the same PSG nodes and edges, so no node or
+// edge ID moves (a body edit that leaves control flow and call sites
+// alone): the dirty routines' ranges are then rebuilt in the
+// destination slabs, verified against their previous structure, and
+// every layout-derived structure is kept. Otherwise the general path
+// lays out fresh slabs, copying clean routines' ranges from prev with
+// their IDs shifted to the new offsets.
 
-// IncrementalStats records what a Reanalyze call actually did: how much
-// of the previous analysis it reused and how much it re-solved. The
+// IncrementalStats records what a re-analysis actually did: how much of
+// the previous analysis it reused and how much it re-solved. The
 // daemon's spike.v2 patch endpoint surfaces these as provenance.
 type IncrementalStats struct {
 	// DirtyRoutines counts routines whose body hash differs from the
 	// previous program (including routines the patch added).
 	DirtyRoutines int
+
+	// ShapePreserving reports that the edit kept every routine's PSG
+	// nodes and edges, so the dirty ranges were rebuilt inside the
+	// slabs and the layout-derived structures kept; false means the
+	// general re-layout path ran.
+	ShapePreserving bool
 
 	// ResolvedComponents counts call-graph components re-solved by at
 	// least one phase; ReusedComponents counts those whose converged
@@ -95,6 +121,26 @@ func Reanalyze(prev *Analysis, patched *prog.Program, opts ...Option) (*Analysis
 // ReanalyzeContext is Reanalyze under a context, with the same
 // cancellation points as AnalyzeContext.
 func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program, opts ...Option) (*Analysis, error) {
+	return reanalyze(ctx, prev, patched, false, opts)
+}
+
+// ReanalyzeInPlace is Reanalyze for a caller that never uses prev
+// again: the result takes over prev's slabs and per-routine tables
+// instead of copying them, so an edit costs O(edit) work and almost no
+// allocation. The result is byte-identical to Analyze(patched,
+// opts...). prev is consumed by the call, successful or not, except on
+// a *ConfigMismatchError, which is returned before anything is touched.
+//
+// Use Reanalyze when older analyses must stay queryable (the daemon's
+// version cache does); use ReanalyzeInPlace for an edit loop that only
+// ever wants the latest analysis.
+func ReanalyzeInPlace(prev *Analysis, patched *prog.Program, opts ...Option) (*Analysis, error) {
+	return reanalyze(context.Background(), prev, patched, true, opts)
+}
+
+// reanalyze is the engine behind both entry points. inPlace lets the
+// result take over prev's storage.
+func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPlace bool, opts []Option) (*Analysis, error) {
 	conf := NewConfig(opts...)
 	conf.ctx = ctx
 	if err := ctx.Err(); err != nil {
@@ -106,6 +152,11 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	workers := conf.Workers()
 	a := &Analysis{Prog: patched, Config: conf}
 	a.Stats.Parallelism = workers
+	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
+	// own: the result takes over prev's slabs and per-routine tables,
+	// which needs an unchanged routine count; otherwise it works on
+	// copies.
+	own := inPlace && nNew == nOld
 
 	var wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0 uint64
 	if conf.Metrics != nil {
@@ -113,16 +164,13 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 		lbGets0, lbNews0 = labelPool.Stats()
 		duGets0, duNews0 = defusePool.Stats()
 	}
-	th := conf.Tracer.MainThread()
-	asp := th.Begin("reanalyze").
-		Arg("routines", int64(len(patched.Routines))).
-		Arg("workers", int64(workers))
+	asp := conf.Tracer.MainThread().Begin("reanalyze").Arg("routines", int64(nNew))
 	defer asp.End()
 	// Request-scoped stage spans, when a daemon request carried a trace
 	// in (WithRequestSpans); same stage names as AnalyzeContext plus the
 	// incremental-only "diff".
 	rt, rparent := conf.ReqTrace, conf.ReqParent
-	rt.Arg(rparent, "routines", int64(len(patched.Routines)))
+	rt.Arg(rparent, "routines", int64(nNew))
 
 	cancelled := func() error {
 		if err := ctx.Err(); err != nil {
@@ -137,28 +185,27 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	// *Routine with prev's, so only the handful of replaced routines are
 	// hashed at all. Routines that are pointer-distinct but hash-equal
 	// (a rewrite landing on identical bytes, or a deep Clone) are still
-	// clean. The hashes assembled here are adopted by the new analysis so
-	// chained re-analyses never rescan clean bodies.
+	// clean. The result adopts the hash table assembled here, so chained
+	// re-analyses never rescan clean bodies.
 	rsp := rt.Begin(rparent, "diff")
-	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
 	prevHashes := prev.BodyHashes()
-	newHashes := make([]uint64, nNew)
+	hashes := ownOrCopy(own, prevHashes, nNew)
 	clean := make([]bool, nNew)
 	var dirty []int
 	for ri, r := range patched.Routines {
 		if ri < nOld && r == prev.Prog.Routines[ri] {
 			clean[ri] = true
-			newHashes[ri] = prevHashes[ri]
 			continue
 		}
-		newHashes[ri] = r.Hash()
-		if ri < nOld && newHashes[ri] == prevHashes[ri] {
+		h := r.Hash()
+		if ri < nOld && h == prevHashes[ri] {
 			clean[ri] = true
-		} else {
-			dirty = append(dirty, ri)
+			continue
 		}
+		dirty = append(dirty, ri)
+		hashes[ri] = h
 	}
-	a.adoptBodyHashes(newHashes)
+	a.adoptBodyHashes(hashes)
 	asp.Arg("dirty_routines", int64(len(dirty)))
 	rt.Arg(rsp, "dirty_routines", int64(len(dirty)))
 	rt.End(rsp)
@@ -171,14 +218,17 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	}
 
 	// ---- per-routine artifacts: CFGs and DEF/UBD -----------------------
-	start := time.Now()
-	rsp = rt.Begin(rparent, "cfg build")
-	a.Graphs = make([]*cfg.Graph, nNew)
-	for ri := range patched.Routines {
-		if clean[ri] {
-			a.Graphs[ri] = prev.Graphs[ri]
+	// The replaced CFGs are kept aside for the shape and count deltas:
+	// in place, the table they live in is the result's.
+	oldGraphs := make([]*cfg.Graph, len(dirty))
+	for i, ri := range dirty {
+		if ri < nOld {
+			oldGraphs[i] = prev.Graphs[ri]
 		}
 	}
+	a.Graphs = ownOrCopy(own, prev.Graphs, nNew)
+	start := time.Now()
+	rsp = rt.Begin(rparent, "cfg build")
 	a.Stats.CFGBuildCPU = par.ForEachSpan(conf.Tracer, "cfg", len(dirty), workers, func(i int) {
 		a.Graphs[dirty[i]] = cfg.Build(patched, dirty[i])
 	})
@@ -199,33 +249,39 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	// ---- call graph ----------------------------------------------------
 	start = time.Now()
 	rsp = rt.Begin(rparent, "callgraph build")
-	cg := callgraph.BuildIncremental(patched, prev.CallGraph(), clean,
+	prevCG := prev.CallGraph()
+	cg := callgraph.BuildIncremental(patched, prevCG, clean,
 		callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
 		callgraph.WithObs(conf.Tracer, conf.Metrics))
 	a.callGraph = cg
 	a.Stats.CallGraphBuild = time.Since(start)
 	rt.End(rsp)
 	a.Stats.SCCComponents = cg.NumComponents()
-	prevCG := prev.CallGraph()
 
 	// ---- PSG assembly --------------------------------------------------
 	start = time.Now()
 	rsp = rt.Begin(rparent, "psg build")
-	nodeDelta, tasks, shapeSame, linksShared := a.assemblePSG(prev, clean, dirty, conf)
+	var tasks []labelTask
+	shapeSame := nNew == nOld
+	if shapeSame {
+		tasks, shapeSame = a.assembleSameShape(prev, dirty, own, conf)
+	}
+	if !shapeSame {
+		tasks = a.assemblePSG(prev, clean, dirty, conf)
+	}
 	cpu := time.Since(start)
-	ltasks := tasks
 	flowEdges := conf.Metrics.Counter("label/flow_edges")
 	defuseLinks := conf.Metrics.Counter("label/defuse_links")
 	chainSteps := conf.Metrics.Counter("label/chain_steps")
 	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
-	cpu += par.ForEachSpan(conf.Tracer, "label", len(ltasks), workers, func(i int) {
-		st := ltasks[i].label(a.PSG, conf)
-		flowEdges.Add(uint64(len(ltasks[i].refs)))
+	cpu += par.ForEachSpan(conf.Tracer, "label", len(tasks), workers, func(i int) {
+		st := tasks[i].label(a.PSG, conf)
+		flowEdges.Add(uint64(len(tasks[i].refs)))
 		defuseLinks.Add(st.links)
 		chainSteps.Add(st.steps)
 		denseFallbacks.Add(st.dense)
 	})
-	releaseTasks(ltasks)
+	releaseTasks(tasks)
 	srCPU, srShared := a.incrementalSavedRestored(prev, cg, clean, dirty)
 	cpu += srCPU
 	a.Stats.PSGBuildCPU = cpu
@@ -240,7 +296,11 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	// even if the body is unchanged).
 	g := a.PSG
 	nComp := cg.NumComponents()
-	dirtyComp := make([]bool, nComp)
+	// Per-component marks, carved from one allocation: phase 1's dirty
+	// and resolved sets, then phase 2's.
+	marks := make([]bool, 4*nComp)
+	dirtyComp, resolved1 := marks[:nComp:nComp], marks[nComp:2*nComp:2*nComp]
+	dirty2, resolved2 := marks[2*nComp:3*nComp:3*nComp], marks[3*nComp:]
 	for _, ri := range dirty {
 		dirtyComp[cg.Component(ri)] = true
 	}
@@ -260,15 +320,13 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	// their labels even if no member routine was edited.
 	aggChanged := false
 	if conf.LinkIndirectCalls {
-		aggChanged = !equalInts(cg.AddressTaken(), prevCG.AddressTaken())
-		if !aggChanged {
-			for _, ri := range dirty {
-				if patched.Routines[ri].AddressTaken ||
-					(ri < nOld && prev.Prog.Routines[ri].AddressTaken) {
-					aggChanged = true
-					break
-				}
+		aggChanged = !slices.Equal(cg.AddressTaken(), prevCG.AddressTaken())
+		for _, ri := range dirty {
+			if aggChanged {
+				break
 			}
+			aggChanged = patched.Routines[ri].AddressTaken ||
+				(ri < nOld && prev.Prog.Routines[ri].AddressTaken)
 		}
 		if aggChanged {
 			for ri := 0; ri < nNew; ri++ {
@@ -280,9 +338,10 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	}
 
 	// The scheduler's shape (component maps, seed orders, indirect
-	// arrays) is a pure function of structure the fast paths just proved
-	// unchanged; reuse prev's when possible instead of re-deriving the
-	// per-component DFS orders.
+	// arrays) is a pure function of structure a shape-preserving edit
+	// with an unchanged call graph leaves alone; reuse prev's when
+	// possible instead of re-deriving the per-component DFS orders.
+	// Restored analyses carry no shape and get a fresh one.
 	var sched *phaseSched
 	if shapeSame && cg.StructureReused() && prev.schedShape != nil {
 		sched = newPhaseSchedFromShape(g, cg, conf, prev.schedShape)
@@ -290,14 +349,29 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 		sched = newPhaseSched(g, cg, conf)
 		sched.prepareIndirect()
 	}
+	sched.retAt = make([]int32, nComp)
 	a.schedShape = sched.shape()
 
 	// ---- phase 1 -------------------------------------------------------
 	start = time.Now()
 	rsp = rt.Begin(rparent, "phase1")
-	resolved1 := make([]bool, nComp)
-	a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU =
-		a.runIncremental1(prev, sched, dirtyComp, resolved1)
+	a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runDirty(false, dirtyComp, resolved1,
+		// Cutoff: dirty the callers of routines whose outward summary
+		// moved. Callers live in strictly later callee-first waves (or
+		// this component, already converged), so the marks land ahead
+		// of the walk.
+		func(c int) {
+			for _, ri := range cg.Members(c) {
+				if !a.entrySummaryChanged(prev, ri) {
+					continue
+				}
+				for _, caller := range cg.Callers(ri) {
+					if cc := cg.Component(caller); !resolved1[cc] {
+						dirtyComp[cc] = true
+					}
+				}
+			}
+		})
 	a.Stats.Phase1 = time.Since(start)
 	rt.Arg(rsp, "iterations", int64(a.Stats.Phase1Iterations))
 	rt.End(rsp)
@@ -308,14 +382,17 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	// ---- phase 2 -------------------------------------------------------
 	start = time.Now()
 	rsp = rt.Begin(rparent, "phase2")
-	if !linksShared {
+	if shapeSame && a.linksUnchanged(prev, dirty, oldGraphs) {
+		pg := prev.PSG
+		g.retStart, g.retSiteIDs = pg.retStart, pg.retSiteIDs
+		g.depStart, g.depExitIDs = pg.depStart, pg.depExitIDs
+	} else {
 		g.linkReturnSites(conf)
 	}
-	dirty2 := make([]bool, nComp)
 	copy(dirty2, resolved1)
 	markCallees := func(pg *callgraph.Graph, ri int) {
 		for _, t := range pg.Callees(ri) {
-			if t >= 0 && t < nNew {
+			if t < nNew {
 				dirty2[cg.Component(t)] = true
 			}
 		}
@@ -326,38 +403,20 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 		// structure change.
 		markCallees(cg, ri)
 		if ri < nOld {
-			for _, t := range prevCG.Callees(ri) {
-				if t < nNew {
-					dirty2[cg.Component(t)] = true
-				}
-			}
+			markCallees(prevCG, ri)
 		}
 	}
 	for ri := nNew; ri < nOld; ri++ {
 		// Removed routines take their call sites with them.
-		for _, t := range prevCG.Callees(ri) {
-			if t < nNew {
-				dirty2[cg.Component(t)] = true
-			}
-		}
+		markCallees(prevCG, ri)
 	}
 	if conf.LinkIndirectCalls {
 		indirectRets := aggChanged
-		if !indirectRets {
-			for _, ri := range dirty {
-				if cg.HasIndirectCall(ri) || (ri < nOld && prevCG.HasIndirectCall(ri)) {
-					indirectRets = true
-					break
-				}
-			}
+		for _, ri := range dirty {
+			indirectRets = indirectRets || cg.HasIndirectCall(ri) || (ri < nOld && prevCG.HasIndirectCall(ri))
 		}
-		if !indirectRets {
-			for ri := nNew; ri < nOld; ri++ {
-				if prevCG.HasIndirectCall(ri) {
-					indirectRets = true
-					break
-				}
-			}
+		for ri := nNew; ri < nOld; ri++ {
+			indirectRets = indirectRets || prevCG.HasIndirectCall(ri)
 		}
 		if indirectRets {
 			// Indirect return sites link to every address-taken exit;
@@ -367,9 +426,30 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 			}
 		}
 	}
-	resolved2 := make([]bool, nComp)
-	a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU =
-		a.runIncremental2(prev, sched, clean, nodeDelta, dirty2, resolved2)
+	a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runDirty(true, dirty2, resolved2,
+		// Cutoff: a callee's exits re-read our return nodes through
+		// their return-site links; only a return node whose liveness
+		// moved can disturb them. Callee components sit in strictly
+		// later caller-first waves (or in this one, already converged).
+		func(c int) {
+			snap := sched.retSnapshot(c)
+			for _, nid := range sched.nodes(c) {
+				n := &g.Nodes[nid]
+				if n.Kind != NodeReturn {
+					continue
+				}
+				changed := !clean[n.Routine] || snap[0] != n.MayUse
+				snap = snap[1:]
+				if !changed {
+					continue
+				}
+				for _, x := range g.exitDeps(n.ID) {
+					if xc := sched.nodeComp[x]; int(xc) != c && !resolved2[xc] {
+						dirty2[xc] = true
+					}
+				}
+			}
+		})
 	a.Stats.Phase2 = time.Since(start)
 	rt.Arg(rsp, "iterations", int64(a.Stats.Phase2Iterations))
 	rt.End(rsp)
@@ -378,11 +458,15 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 	}
 
 	// ---- finish --------------------------------------------------------
-	a.collectSummariesIncremental(prev, cg, resolved1, resolved2)
-	a.collectCountsIncremental(prev, dirty)
-	a.livOnce = make([]sync.Once, nNew)
-	a.liv = make([]*dataflow.Liveness, nNew)
-	inc := &IncrementalStats{DirtyRoutines: len(dirty)}
+	inc := &IncrementalStats{DirtyRoutines: len(dirty), ShapePreserving: shapeSame}
+	// Summaries of unresolved components are byte-equal to prev's: their
+	// converged node sets were carried over verbatim and their
+	// SavedRestored did not move (a moved set seeds phase-1 dirtiness).
+	// Routines the patch added sit past prev's table.
+	a.Summaries = ownOrCopy(own, prev.Summaries, nNew)
+	for ri := nOld; ri < nNew; ri++ {
+		a.Summaries[ri] = a.collectSummary(ri)
+	}
 	for c := 0; c < nComp; c++ {
 		if resolved1[c] {
 			inc.Phase1Components++
@@ -392,14 +476,32 @@ func ReanalyzeContext(ctx context.Context, prev *Analysis, patched *prog.Program
 		}
 		if resolved1[c] || resolved2[c] {
 			inc.ResolvedComponents++
+			for _, ri := range cg.Members(c) {
+				a.Summaries[ri] = a.collectSummary(ri)
+			}
 		}
 	}
 	inc.ReusedComponents = nComp - inc.ResolvedComponents
 	a.Incremental = inc
+	a.collectCountsIncremental(prev, dirty, oldGraphs, shapeSame)
+	a.livOnce = make([]sync.Once, nNew)
+	a.liv = make([]*dataflow.Liveness, nNew)
 	asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
 		Arg("reused_components", int64(inc.ReusedComponents))
 	a.publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0)
 	return a, nil
+}
+
+// ownOrCopy returns the result's version of one of prev's per-routine
+// tables: prev's own when the result takes over prev's storage, else a
+// copy resized to n entries.
+func ownOrCopy[T any](own bool, prev []T, n int) []T {
+	if own {
+		return prev
+	}
+	t := make([]T, n)
+	copy(t, prev)
+	return t
 }
 
 // validatePatched checks the structural invariants an edit can break
@@ -442,32 +544,136 @@ func validatePatched(patched *prog.Program, prev *Analysis, dirty []int) error {
 	return nil
 }
 
-// assemblePSG builds the patched program's PSG, copying clean routines'
-// node and edge slab ranges (converged sets and labels included) from
-// prev with IDs shifted to their new offsets, and running the normal
-// structural pass for dirty routines. It returns the per-routine node
-// ID delta (new − old, meaningful where clean), the labeling tasks of
-// the dirty routines, and two reuse facts: shapeSame reports that the
-// new PSG is structurally identical to prev's (same nodes, edges and
-// IDs throughout — the adjacency and index lists are then shared with
-// prev), and linksShared that the phase-2 return-site links were shared
-// too, so linkReturnSites may be skipped.
+// assembleSameShape is the shape-preserving path. It rebuilds each dirty
+// routine's node and edge ranges inside the destination slabs — prev's
+// own when own, copies otherwise — through capacity-clamped views, and
+// verifies each rebuilt range against a copy of the range it replaced.
+// On success the new PSG keeps prev's CSR adjacency, entry/exit index
+// lists, caller-edge registrations and slab bounds: all are pure
+// functions of the structure just proven unchanged. It returns the
+// dirty routines' labeling tasks.
+//
+// On a mismatch it reports false, leaving the dirty ranges of the
+// destination slabs (in place: of prev's) partly rebuilt. The clamp
+// keeps every clean range intact, and the general path reads only
+// clean ranges from prev, so it can take over within the same call.
+func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, own bool, conf Config) ([]labelTask, bool) {
+	pg := prev.PSG
+	nodes, edges := pg.Nodes, pg.Edges
+	if !own {
+		nodes, edges = slices.Clone(nodes), slices.Clone(edges)
+	}
+	nodeStart, edgeStart := pg.routineBounds()
+	n := len(a.Prog.Routines)
+	// Fresh entry/exit lists and nil CallerEdges: prev's lists may be
+	// shared along the chain, so buildRoutine must not append to them
+	// (CallerEdges registration is suppressed by the nil).
+	en, ex := make([][]int, n), make([][]int, n)
+	var bakN []Node
+	var bakE []Edge
+	var scratch buildScratch
+	tasks := make([]labelTask, 0, len(dirty))
+	for _, ri := range dirty {
+		nlo, nhi := int(nodeStart[ri]), int(nodeStart[ri+1])
+		elo, ehi := int(edgeStart[ri]), int(edgeStart[ri+1])
+		bakN = append(bakN[:0], nodes[nlo:nhi]...)
+		bakE = append(bakE[:0], edges[elo:ehi]...)
+		// newNode and addEdge extend into spare capacity assuming zeroed
+		// memory.
+		clear(nodes[nlo:nhi])
+		clear(edges[elo:ehi])
+		v := &PSG{
+			Prog:       a.Prog,
+			Graphs:     a.Graphs,
+			Nodes:      nodes[:nlo:nhi],
+			Edges:      edges[:elo:ehi],
+			EntryNodes: en,
+			ExitNodes:  ex,
+		}
+		tasks = append(tasks, labelTask{})
+		v.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
+		if len(v.Nodes) != nhi || len(v.Edges) != ehi ||
+			!sameStructure(nodes[nlo:nhi], bakN, edges[elo:ehi], bakE) {
+			releaseTasks(tasks)
+			return nil, false
+		}
+	}
+	a.PSG = &PSG{
+		Prog:        a.Prog,
+		Graphs:      a.Graphs,
+		Nodes:       nodes,
+		Edges:       edges,
+		outStart:    pg.outStart,
+		inStart:     pg.inStart,
+		outEdgeIDs:  pg.outEdgeIDs,
+		inEdgeIDs:   pg.inEdgeIDs,
+		EntryNodes:  pg.EntryNodes,
+		ExitNodes:   pg.ExitNodes,
+		CallerEdges: pg.CallerEdges,
+		nodeStart:   nodeStart,
+		edgeStart:   edgeStart,
+	}
+	return tasks, true
+}
+
+// sameStructure reports whether a rebuilt routine range has exactly the
+// nodes and edges of the range it replaced (IDs agree by construction:
+// the rebuild appended at the old offsets).
+func sameStructure(nodes, oldNodes []Node, edges, oldEdges []Edge) bool {
+	for i := range nodes {
+		n, p := &nodes[i], &oldNodes[i]
+		if n.Kind != p.Kind || n.Block != p.Block || n.EntryIdx != p.EntryIdx ||
+			n.CallTarget != p.CallTarget || n.CallEntry != p.CallEntry ||
+			n.Unknown != p.Unknown {
+			return false
+		}
+	}
+	for i := range edges {
+		e, p := &edges[i], &oldEdges[i]
+		if e.Kind != p.Kind || e.Src != p.Src || e.Dst != p.Dst {
+			return false
+		}
+	}
+	return true
+}
+
+// linksUnchanged reports whether prev's return-site links still describe
+// a shape-preserving edit's PSG. Beyond the structure they depend on
+// each exit's terminator (ret links, halt does not) and, in a closed
+// world, on the address-taken flags; a body edit can change either
+// without moving a single node.
+func (a *Analysis) linksUnchanged(prev *Analysis, dirty []int, oldGraphs []*cfg.Graph) bool {
+	g := a.PSG
+	for i, ri := range dirty {
+		if a.Config.LinkIndirectCalls &&
+			a.Prog.Routines[ri].AddressTaken != prev.Prog.Routines[ri].AddressTaken {
+			return false
+		}
+		for _, x := range g.ExitNodes[ri] {
+			if isRetBlock(a.Graphs[ri], g.Nodes[x].Block) != isRetBlock(oldGraphs[i], g.Nodes[x].Block) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// assemblePSG is the general path: it lays out fresh slabs, copying
+// clean routines' node and edge ranges (converged sets and labels
+// included) from prev with IDs shifted to their new offsets, and
+// running the normal structural pass for dirty routines, whose
+// labeling tasks it returns. It reads only clean ranges of prev's
+// slabs.
 //
 // The interleaved index-order walk reproduces exactly the slab layout,
 // entry/exit index lists and CallerEdges append order of a from-scratch
 // buildPSG: nodes and edges are routine-contiguous in routine order,
 // and within a routine the copied range preserves creation order.
-func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf Config) (delta []int, tasks []labelTask, shapeSame, linksShared bool) {
+func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf Config) []labelTask {
 	patched, graphs := a.Prog, a.Graphs
 	pg := prev.PSG
-	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
+	nNew := len(patched.Routines)
 	oldNodeStart, oldEdgeStart := pg.routineBounds()
-
-	if nNew == nOld {
-		if nodeDelta, tasks, linksShared, ok := a.assemblePSGShared(prev, dirty, conf, oldNodeStart, oldEdgeStart); ok {
-			return nodeDelta, tasks, true, linksShared
-		}
-	}
 
 	nodeCap, edgeCap := 0, 0
 	for ri := range patched.Routines {
@@ -503,11 +709,10 @@ func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf C
 	}
 	a.PSG = g
 
-	nodeDelta := make([]int, nNew)
 	g.nodeStart = make([]int32, nNew+1)
 	g.edgeStart = make([]int32, nNew+1)
 	var scratch buildScratch
-	tasks = make([]labelTask, 0, len(dirty))
+	tasks := make([]labelTask, 0, len(dirty))
 	for ri := range patched.Routines {
 		g.nodeStart[ri] = int32(len(g.Nodes))
 		g.edgeStart[ri] = int32(len(g.Edges))
@@ -520,7 +725,6 @@ func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf C
 		elo, ehi := int(oldEdgeStart[ri]), int(oldEdgeStart[ri+1])
 		nd := len(g.Nodes) - nlo
 		ed := len(g.Edges) - elo
-		nodeDelta[ri] = nd
 		g.Nodes = append(g.Nodes, pg.Nodes[nlo:nhi]...)
 		g.Edges = append(g.Edges, pg.Edges[elo:ehi]...)
 		if nd != 0 {
@@ -561,96 +765,7 @@ func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf C
 	g.nodeStart[nNew] = int32(len(g.Nodes))
 	g.edgeStart[nNew] = int32(len(g.Edges))
 	g.buildAdjacency()
-	return nodeDelta, tasks, false, false
-}
-
-// assemblePSGShared is assemblePSG's structural-reuse fast path for the
-// common case that an edit preserves every routine's PSG shape (a body
-// edit that does not touch control flow or call sites). It copies both
-// slabs wholesale — one memcpy each, converged sets and labels included
-// — rebuilds only the dirty routines' ranges in place, and verifies the
-// rebuilt ranges are structurally identical to the previous ones. On
-// success the new PSG shares prev's CSR adjacency, entry/exit index
-// lists, caller-edge registrations and (when still valid) return-site
-// links: all are pure functions of the structure just proven unchanged,
-// and are treated as read-only by both analyses. Any mismatch abandons
-// the attempt — the copied slabs are discarded, possibly mid-rebuild —
-// and the caller falls back to the general interleaved walk, which
-// re-copies everything from prev.
-func (a *Analysis) assemblePSGShared(prev *Analysis, dirty []int, conf Config, nodeStart, edgeStart []int32) ([]int, []labelTask, bool, bool) {
-	pg := prev.PSG
-	nNew := len(a.Prog.Routines)
-	nodes := append([]Node(nil), pg.Nodes...)
-	edges := append([]Edge(nil), pg.Edges...)
-	g := &PSG{
-		Prog:   a.Prog,
-		Graphs: a.Graphs,
-		// CallerEdges stays nil: buildRoutine skips registration, and the
-		// structural compare below proves prev's lists still correct.
-		EntryNodes: make([][]int, nNew),
-		ExitNodes:  make([][]int, nNew),
-	}
-	var scratch buildScratch
-	tasks := make([]labelTask, 0, len(dirty))
-	addrTakenSame := true
-	for _, ri := range dirty {
-		nlo, nhi := int(nodeStart[ri]), int(nodeStart[ri+1])
-		elo, ehi := int(edgeStart[ri]), int(edgeStart[ri+1])
-		// Truncate to the routine's offset and let buildRoutine append
-		// its nodes and edges into the copy's capacity, overwriting the
-		// stale range in place.
-		g.Nodes = nodes[:nlo]
-		g.Edges = edges[:elo]
-		tasks = append(tasks, labelTask{})
-		g.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
-		if len(g.Nodes) != nhi || len(g.Edges) != ehi {
-			releaseTasks(tasks)
-			return nil, nil, false, false
-		}
-		for i := nlo; i < nhi; i++ {
-			n, p := &g.Nodes[i], &pg.Nodes[i]
-			if n.Kind != p.Kind || n.Block != p.Block || n.EntryIdx != p.EntryIdx ||
-				n.CallTarget != p.CallTarget || n.CallEntry != p.CallEntry ||
-				n.Unknown != p.Unknown {
-				releaseTasks(tasks)
-				return nil, nil, false, false
-			}
-		}
-		for i := elo; i < ehi; i++ {
-			e, p := &g.Edges[i], &pg.Edges[i]
-			if e.Kind != p.Kind || e.Src != p.Src || e.Dst != p.Dst {
-				releaseTasks(tasks)
-				return nil, nil, false, false
-			}
-		}
-		// The return-site links additionally depend on each exit's
-		// terminator op (ret vs halt) and — in a closed world — on the
-		// address-taken flags; a body edit can change either without
-		// moving a single node.
-		for _, x := range g.ExitNodes[ri] {
-			n := &g.Nodes[x]
-			if !n.Unknown && g.isRetExit(n) != pg.isRetExit(&pg.Nodes[x]) {
-				releaseTasks(tasks)
-				return nil, nil, false, false
-			}
-		}
-		if a.Prog.Routines[ri].AddressTaken != prev.Prog.Routines[ri].AddressTaken {
-			addrTakenSame = false
-		}
-	}
-	g.Nodes, g.Edges = nodes, edges
-	g.EntryNodes, g.ExitNodes = pg.EntryNodes, pg.ExitNodes
-	g.CallerEdges = pg.CallerEdges
-	g.outStart, g.inStart = pg.outStart, pg.inStart
-	g.outEdgeIDs, g.inEdgeIDs = pg.outEdgeIDs, pg.inEdgeIDs
-	g.nodeStart, g.edgeStart = nodeStart, edgeStart
-	linksShared := pg.retStart != nil && (addrTakenSame || !conf.LinkIndirectCalls)
-	if linksShared {
-		g.retStart, g.retSiteIDs = pg.retStart, pg.retSiteIDs
-		g.depStart, g.depExitIDs = pg.depStart, pg.depExitIDs
-	}
-	a.PSG = g
-	return make([]int, nNew), tasks, linksShared, true
+	return tasks
 }
 
 // incrementalSavedRestored recomputes the §3.4 sets: clean routines
@@ -671,6 +786,7 @@ func (a *Analysis) incrementalSavedRestored(prev *Analysis, cg *callgraph.Graph,
 	n := len(a.Prog.Routines)
 	prevFrames := prev.PSG.FrameFacts()
 	dirtyFrames := make([]FrameFact, len(dirty))
+	same := cg.StructureReused() && n == len(prevFrames)
 	for i, ri := range dirty {
 		r := a.Prog.Routines[ri]
 		scratch := frameScratch{
@@ -685,25 +801,17 @@ func (a *Analysis) incrementalSavedRestored(prev *Analysis, cg *callgraph.Graph,
 			f.LocalSaved = savedRestored(r, &fi)
 		}
 		dirtyFrames[i] = f
+		same = same && f == prevFrames[ri]
 	}
-	if cg.StructureReused() && n == len(prevFrames) {
-		same := true
-		for i, ri := range dirty {
-			if dirtyFrames[i] != prevFrames[ri] {
-				same = false
-				break
-			}
-		}
-		if same {
-			g.frames = prevFrames
-			g.SavedRestored = prev.PSG.SavedRestored
-			return time.Since(start), true
-		}
+	if same {
+		g.frames = prevFrames
+		g.SavedRestored = prev.PSG.SavedRestored
+		return time.Since(start), true
 	}
 	g.SavedRestored = make([]regset.Set, n)
 	g.frames = make([]FrameFact, n)
 	for ri := range clean {
-		if clean[ri] && ri < len(prevFrames) {
+		if clean[ri] {
 			g.frames[ri] = prevFrames[ri]
 		}
 	}
@@ -723,38 +831,14 @@ func (a *Analysis) incrementalSavedRestored(prev *Analysis, cg *callgraph.Graph,
 	return time.Since(start), false
 }
 
-// collectSummariesIncremental assembles the per-routine summaries by
-// copying prev's and recomputing only the routines of components some
-// phase re-solved. An unresolved component's converged node sets were
-// carried over verbatim and its SavedRestored did not move (a moved set
-// seeds phase-1 dirtiness), so its previous summaries are byte-equal to
-// what recomputation would produce. Routines the patch added sit past
-// prev's table and are always recomputed (their components are dirty by
-// construction, but the copy cannot cover them).
-func (a *Analysis) collectSummariesIncremental(prev *Analysis, cg *callgraph.Graph, resolved1, resolved2 []bool) {
-	n := len(a.Prog.Routines)
-	a.Summaries = make([]RoutineSummary, n)
-	copied := copy(a.Summaries, prev.Summaries)
-	for ri := copied; ri < n; ri++ {
-		a.Summaries[ri] = a.collectSummary(ri)
-	}
-	for c := 0; c < cg.NumComponents(); c++ {
-		if !resolved1[c] && !resolved2[c] {
-			continue
-		}
-		for _, ri := range cg.Members(c) {
-			a.Summaries[ri] = a.collectSummary(ri)
-		}
-	}
-}
-
 // collectCountsIncremental fills the structural counts from prev's by
 // per-dirty-routine deltas, avoiding the O(routines) CFG walks. The
 // result is exactly collectCounts' — every term is a per-routine sum
 // and clean routines share their graphs with prev — so it falls back to
 // the full collection only when the routine count changed (positional
-// deltas stop lining up then).
-func (a *Analysis) collectCountsIncremental(prev *Analysis, dirty []int) {
+// deltas stop lining up then). A shape-preserving PSG differs from
+// prev's footprint only in its return-site links.
+func (a *Analysis) collectCountsIncremental(prev *Analysis, dirty []int, oldGraphs []*cfg.Graph, shapeSame bool) {
 	nNew, nOld := len(a.Prog.Routines), len(prev.Prog.Routines)
 	if nNew != nOld {
 		a.collectCounts()
@@ -765,11 +849,15 @@ func (a *Analysis) collectCountsIncremental(prev *Analysis, dirty []int) {
 	st.Instructions = ps.Instructions
 	st.BasicBlocks = ps.BasicBlocks
 	st.CFGArcs = ps.CFGArcs
-	bytes := int64(ps.GraphBytes) -
-		int64(prev.PSG.MemoryFootprint()) + int64(a.PSG.MemoryFootprint())
-	for _, ri := range dirty {
+	bytes := int64(ps.GraphBytes)
+	if shapeSame {
+		bytes += int64(a.PSG.linkFootprint()) - int64(prev.PSG.linkFootprint())
+	} else {
+		bytes += int64(a.PSG.MemoryFootprint()) - int64(prev.PSG.MemoryFootprint())
+	}
+	for i, ri := range dirty {
 		st.Instructions += len(a.Prog.Routines[ri].Code) - len(prev.Prog.Routines[ri].Code)
-		ng, og := a.Graphs[ri], prev.Graphs[ri]
+		ng, og := a.Graphs[ri], oldGraphs[i]
 		st.BasicBlocks += len(ng.Blocks) - len(og.Blocks)
 		st.CFGArcs += ng.NumArcs() - og.NumArcs()
 		bytes += int64(ng.MemoryFootprint()) - int64(og.MemoryFootprint())
@@ -777,27 +865,6 @@ func (a *Analysis) collectCountsIncremental(prev *Analysis, dirty []int) {
 	st.PSGNodes = a.PSG.NumNodes()
 	st.PSGEdges = a.PSG.NumEdges()
 	st.GraphBytes = uint64(bytes)
-}
-
-// prepareIndirect populates the scheduler's §3.5 indirect-call
-// machinery the same way runPhase1 does, without resetting any sets.
-func (s *phaseSched) prepareIndirect() {
-	g, conf := s.g, s.conf
-	for i := range g.Edges {
-		if g.Edges[i].indirect(g) {
-			s.indirectEdges = append(s.indirectEdges, int32(i))
-		}
-	}
-	if conf.LinkIndirectCalls && len(s.indirectEdges) > 0 {
-		for ri, r := range g.Prog.Routines {
-			if r.AddressTaken {
-				s.addrTakenEntries = append(s.addrTakenEntries, g.EntryNodes[ri][0])
-			}
-		}
-		if len(s.addrTakenEntries) > 0 {
-			s.pinnedComp = s.cg.PinnedComponent()
-		}
-	}
 }
 
 // prepPhase1Comp re-establishes component c's phase-1 starting state:
@@ -850,68 +917,71 @@ func (s *phaseSched) prepPhase1Comp(c int) {
 	}
 }
 
-// runIncremental1 walks the callee-first schedule, re-solving only the
-// dirty components of each wave and propagating dirtiness to caller
-// components whose inputs (the callees' outward entry summaries)
-// actually changed. dirtyComp is extended in place; resolved marks the
-// components re-solved.
-func (a *Analysis) runIncremental1(prev *Analysis, s *phaseSched, dirtyComp, resolved []bool) (waves, iters int, cpu time.Duration) {
-	g, cg := s.g, s.cg
-	counts := make([]int, cg.NumComponents())
-	var todo []int
-	for _, wave := range cg.CalleeFirstWaves() {
+// runDirty walks one phase's wave schedule — callee-first for phase 1,
+// caller-first for phase 2 — re-solving only the dirty components of
+// each wave, concurrently, and then marking each one resolved and
+// running its cutoff, which may dirty components of later waves. Before
+// a component is re-solved for the first time its return nodes'
+// previous liveness is snapshotted for the phase-2 cutoff.
+func (s *phaseSched) runDirty(phase2 bool, dirty, resolved []bool, cutoff func(c int)) (waves, iters int, cpu time.Duration) {
+	schedule, po := s.cg.CalleeFirstWaves(), &s.obs1
+	if phase2 {
+		schedule, po = s.cg.CallerFirstWaves(), &s.obs2
+	}
+	var todo, counts []int
+	for _, wave := range schedule {
 		if s.cancelled() {
 			break
 		}
 		todo = todo[:0]
 		for _, c := range wave {
-			if dirtyComp[c] {
+			if dirty[c] {
 				todo = append(todo, c)
+				s.snapshotRets(c)
 			}
 		}
 		if len(todo) == 0 {
 			continue
 		}
 		waves++
-		wave := todo
-		cpu += par.ForEachWorker(len(wave), s.workers, func(w, i int) {
-			if s.cancelled() {
-				return
-			}
-			c := wave[i]
-			s.snapshotRets(c)
-			s.prepPhase1Comp(c)
-			counts[c] = s.solvePhase1(c)
-			// Snapshot phase-1 MAY-USE immediately: later-wave preps and
-			// the final summary collection read phase1Use uniformly for
-			// reused and re-solved components alike.
-			for _, nid := range s.nodes(c) {
-				g.Nodes[nid].phase1Use = g.Nodes[nid].MayUse
-			}
-		})
-		// Cutoff: dirty the callers of routines whose outward summary
-		// moved. Callers live in strictly later callee-first waves (or
-		// this component, already converged), so the marks land ahead
-		// of the walk.
-		for _, c := range wave {
+		counts = append(counts[:0], make([]int, len(todo))...)
+		cpu += s.resolveAll(phase2, todo, counts)
+		for i, c := range todo {
+			iters += counts[i]
 			resolved[c] = true
-			for _, ri := range cg.Members(c) {
-				if !a.entrySummaryChanged(prev, ri) {
-					continue
-				}
-				for _, caller := range cg.Callers(ri) {
-					if cc := cg.Component(caller); !resolved[cc] {
-						dirtyComp[cc] = true
-					}
-				}
-			}
+			cutoff(c)
 		}
 	}
-	for _, c := range counts {
-		iters += c
-	}
-	s.obs1.iterations.Add(uint64(iters))
+	po.iterations.Add(uint64(iters))
 	return waves, iters, cpu
+}
+
+// resolveAll re-solves the components comps on the worker pool,
+// recording each one's iteration count in counts. A phase-1 re-solve
+// restarts the component from its prepared starting state and
+// snapshots the converged MAY-USE right away (later-wave preps and the
+// summary collection read phase1Use uniformly for reused and re-solved
+// components alike); a phase-2 re-solve restarts liveness from empty.
+func (s *phaseSched) resolveAll(phase2 bool, comps, counts []int) time.Duration {
+	g := s.g
+	return par.ForEachWorker(len(comps), s.workers, func(w, i int) {
+		if s.cancelled() {
+			return
+		}
+		c := comps[i]
+		if phase2 {
+			for _, nid := range s.nodes(c) {
+				g.Nodes[nid].MayUse = regset.Empty
+			}
+			counts[i] = s.solvePhase2(c)
+			return
+		}
+		s.prepPhase1Comp(c)
+		counts[i] = s.solvePhase1(c)
+		for _, nid := range s.nodes(c) {
+			g.Nodes[nid].phase1Use = g.Nodes[nid].MayUse
+		}
+	})
 }
 
 // entrySummaryChanged compares routine ri's outward entry summary — the
@@ -937,104 +1007,4 @@ func (a *Analysis) entrySummaryChanged(prev *Analysis, ri int) bool {
 		}
 	}
 	return false
-}
-
-// runIncremental2 walks the caller-first schedule, re-solving the dirty
-// components and propagating dirtiness to callee components whose
-// return-site liveness inputs actually changed. clean and nodeDelta
-// map re-solved return nodes back to their previous incarnation for
-// the cutoff comparison.
-func (a *Analysis) runIncremental2(prev *Analysis, s *phaseSched, clean []bool, nodeDelta []int, dirtyComp, resolved []bool) (waves, iters int, cpu time.Duration) {
-	g, cg := s.g, s.cg
-	counts := make([]int, cg.NumComponents())
-	var todo []int
-	for _, wave := range cg.CallerFirstWaves() {
-		if s.cancelled() {
-			break
-		}
-		todo = todo[:0]
-		for _, c := range wave {
-			if dirtyComp[c] {
-				todo = append(todo, c)
-			}
-		}
-		if len(todo) == 0 {
-			continue
-		}
-		waves++
-		wave := todo
-		cpu += par.ForEachWorker(len(wave), s.workers, func(w, i int) {
-			if s.cancelled() {
-				return
-			}
-			c := wave[i]
-			s.snapshotRets(c)
-			for _, nid := range s.nodes(c) {
-				g.Nodes[nid].MayUse = regset.Empty
-			}
-			counts[c] = s.solvePhase2(c)
-		})
-		// Cutoff: a callee's exits re-read our return nodes through
-		// their return-site links; only a return node whose liveness
-		// moved can disturb them. Callee components sit in strictly
-		// later caller-first waves (or in this one, already converged).
-		for _, c := range wave {
-			resolved[c] = true
-			csnap := retSnapOf(s, c)
-			si := 0
-			for _, nid := range s.nodes(c) {
-				n := &g.Nodes[nid]
-				if n.Kind != NodeReturn {
-					continue
-				}
-				changed := true
-				if clean[n.Routine] {
-					if csnap != nil {
-						// Snapshot mode (in-place re-analysis): the slab IS
-						// prev's, so the old liveness was captured before the
-						// first phase overwrote this component.
-						changed = csnap[si] != n.MayUse
-					} else {
-						pn := &prev.PSG.Nodes[n.ID-nodeDelta[n.Routine]]
-						changed = pn.MayUse != n.MayUse
-					}
-				}
-				si++
-				if !changed {
-					continue
-				}
-				for _, x := range g.exitDeps(n.ID) {
-					if xc := s.nodeComp[x]; int(xc) != c && !resolved[xc] {
-						dirtyComp[xc] = true
-					}
-				}
-			}
-		}
-	}
-	for _, c := range counts {
-		iters += c
-	}
-	s.obs2.iterations.Add(uint64(iters))
-	return waves, iters, cpu
-}
-
-// retSnapOf returns component c's return-node liveness snapshot when
-// the scheduler runs in snapshot mode, nil otherwise.
-func retSnapOf(s *phaseSched, c int) []regset.Set {
-	if s.retSnap == nil {
-		return nil
-	}
-	return s.retSnap[c]
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

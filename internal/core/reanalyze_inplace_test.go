@@ -75,8 +75,8 @@ func TestReanalyzeInPlacePingPong(t *testing.T) {
 }
 
 // TestReanalyzeInPlaceChain applies a fresh mutation at every step, so
-// the in-place path also sees routine-count and shape changes that
-// force its copying fallback mid-chain.
+// the in-place entry point also sees routine-count and shape changes
+// that take the general re-layout path mid-chain.
 func TestReanalyzeInPlaceChain(t *testing.T) {
 	base := progen.Generate(progen.TestProfile(40), progen.DefaultOptions(17))
 	prev, err := Analyze(base)
@@ -124,11 +124,11 @@ func TestReanalyzeInPlaceIdentityEdit(t *testing.T) {
 	checkSameAnalysis(t, inc, scratch)
 }
 
-// TestReanalyzeInPlaceTakesInPlacePath guards against the fast path
-// silently rotting into a permanent fallback: across the mutation
-// matrix, at least one body edit must be applied truly in place (the
-// returned analysis is prev itself), and structural mutations must
-// fall back rather than error.
+// TestReanalyzeInPlaceTakesInPlacePath guards against the
+// shape-preserving path silently rotting into a permanent re-layout:
+// across the mutation matrix, at least one edit must keep the PSG
+// shape, and structural mutations must take the general path rather
+// than error.
 func TestReanalyzeInPlaceTakesInPlacePath(t *testing.T) {
 	hits := 0
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -143,15 +143,54 @@ func TestReanalyzeInPlaceTakesInPlacePath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, desc, err)
 			}
-			if inc == prev {
+			if inc.Incremental.ShapePreserving {
 				hits++
 			}
 		}
 	}
 	if hits == 0 {
-		t.Fatal("no mutation in the matrix was applied in place; the fast path is dead")
+		t.Fatal("no mutation in the matrix kept the PSG shape; the shape-preserving path is dead")
 	}
-	t.Logf("in-place applications: %d", hits)
+	t.Logf("shape-preserving applications: %d", hits)
+}
+
+// TestBodyEditChainPreservesShape drives 200 chained body edits through
+// both entry points. A body edit replaces one straight-line instruction,
+// so it never changes control flow or call sites and the PSG keeps its
+// shape even when the edit moves §3.4 frame facts: every step must take
+// the shape-preserving path, and the chain's end must still match a
+// from-scratch analysis.
+func TestBodyEditChainPreservesShape(t *testing.T) {
+	prof, _ := progen.ProfileByName("vc")
+	cur := progen.Generate(prof.Scale(0.02), progen.DefaultOptions(5))
+	copied, err := Analyze(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed, err := Analyze(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 200; step++ {
+		mutant, desc := progen.MutateKind(cur, uint64(7000+step), progen.MutBodyEdit)
+		if copied, err = Reanalyze(copied, mutant); err != nil {
+			t.Fatalf("step %d (%s): Reanalyze: %v", step, desc, err)
+		}
+		if consumed, err = ReanalyzeInPlace(consumed, mutant); err != nil {
+			t.Fatalf("step %d (%s): ReanalyzeInPlace: %v", step, desc, err)
+		}
+		if !copied.Incremental.ShapePreserving || !consumed.Incremental.ShapePreserving {
+			t.Fatalf("step %d (%s): shape-preserving path not taken (Reanalyze %v, ReanalyzeInPlace %v)",
+				step, desc, copied.Incremental.ShapePreserving, consumed.Incremental.ShapePreserving)
+		}
+		cur = mutant
+	}
+	scratch, err := Analyze(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameAnalysis(t, copied, scratch)
+	checkSameAnalysis(t, consumed, scratch)
 }
 
 func TestReanalyzeInPlaceConfigMismatch(t *testing.T) {

@@ -130,10 +130,9 @@ func (c *Counter) Value() uint64 {
 // Histogram accumulates a distribution of uint64 observations in
 // power-of-two buckets (bucket k counts values whose bit length is k,
 // i.e. the range [2^(k-1), 2^k-1]; bucket 0 counts zeros), plus exact
-// count/sum/min/max. A nil *Histogram no-ops.
+// sum/min/max. The count is the bucket total. A nil *Histogram no-ops.
 type Histogram struct {
 	name    string
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	min     uint64 // min, max guarded by mmu
 	max     uint64
@@ -146,7 +145,6 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
 	h.mmu.Lock()
@@ -219,21 +217,13 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.mu.Unlock()
 
-	for _, c := range counters {
-		s.Counters = append(s.Counters, CounterValue{
-			Name: c.name, Value: c.v.Load(), Unstable: c.unstable, Gauge: c.gauge,
-		})
-	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-
+	// Histograms load before counters, and each histogram's Count is the
+	// sum of the buckets loaded with it. Callers bump a request counter
+	// before observing its latency, so a concurrent scrape then never
+	// shows a histogram ahead of its counter, and the cumulative
+	// Prometheus buckets always end at Count.
 	for _, h := range histograms {
-		hv := HistogramValue{Name: h.name, Count: h.count.Load(), Sum: h.sum.Load()}
-		h.mmu.Lock()
-		hv.Min, hv.Max = h.min, h.max
-		h.mmu.Unlock()
-		if hv.Count == 0 {
-			hv.Min = 0
-		}
+		hv := HistogramValue{Name: h.name, Sum: h.sum.Load()}
 		for k := range h.buckets {
 			n := h.buckets[k].Load()
 			if n == 0 {
@@ -244,10 +234,24 @@ func (m *Metrics) Snapshot() Snapshot {
 				le = (uint64(1) << uint(k)) - 1
 			}
 			hv.Buckets = append(hv.Buckets, Bucket{Le: le, Count: n})
+			hv.Count += n
+		}
+		h.mmu.Lock()
+		hv.Min, hv.Max = h.min, h.max
+		h.mmu.Unlock()
+		if hv.Count == 0 {
+			hv.Min = 0
 		}
 		s.Histograms = append(s.Histograms, hv)
 	}
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+
+	for _, c := range counters {
+		s.Counters = append(s.Counters, CounterValue{
+			Name: c.name, Value: c.v.Load(), Unstable: c.unstable, Gauge: c.gauge,
+		})
+	}
+	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	return s
 }
 
