@@ -134,15 +134,23 @@ type SnapshotResponse struct {
 }
 
 // BuildVersionedDoc assembles the analysis document stamped with the
-// given schema version. Under spike.v2 an incremental analysis carries
-// its provenance in the document; under spike.v1 the field stays
-// absent (v1 predates incrementality and its goldens are byte-pinned).
+// given schema version, with the current contents of m as its metrics.
 func BuildVersionedDoc(version string, a *core.Analysis, m *obs.Metrics) AnalysisDoc {
+	return RenderDoc(version, a, m.Snapshot())
+}
+
+// RenderDoc assembles the analysis document stamped with the given
+// schema version from an analysis and a metrics snapshot taken when it
+// converged, so one analysis renders under either schema with the same
+// telemetry. Under spike.v2 an incremental analysis carries its
+// provenance in the document; under spike.v1 the field stays absent
+// (v1 predates incrementality and its goldens are byte-pinned).
+func RenderDoc(version string, a *core.Analysis, metrics obs.Snapshot) AnalysisDoc {
 	doc := AnalysisDoc{
 		SchemaVersion: version,
 		Routines:      make([]RoutineSummary, 0, len(a.Prog.Routines)),
 		Stats:         StatsOf(&a.Stats),
-		Metrics:       m.Snapshot(),
+		Metrics:       metrics,
 	}
 	if version != SchemaVersion && a.Incremental != nil {
 		info := IncrementalInfoOf(a.Incremental)

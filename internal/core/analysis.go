@@ -151,6 +151,10 @@ type Analysis struct {
 	hashOnce sync.Once
 	hashes   []uint64
 
+	// indirect is the summary every jsr-indirect site applies
+	// (IndirectCallSummary), fixed once the summaries are final.
+	indirect CallSummary
+
 	// Lazily solved per-routine liveness, shared by the read-only query
 	// accessors (RoutineLiveness, LivenessAt). One sync.Once per routine
 	// makes concurrent queries race-free and the solve happen at most
@@ -342,8 +346,7 @@ func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Anal
 	rsp = rt.Begin(rparent, "summaries")
 	a.collectSummaries()
 	a.collectCounts()
-	a.livOnce = make([]sync.Once, len(p.Routines))
-	a.liv = make([]*dataflow.Liveness, len(p.Routines))
+	a.prepareQueries()
 	ssp.End()
 	rt.End(rsp)
 	asp.End()
@@ -459,11 +462,28 @@ func (a *Analysis) CallSummaryFor(ri, e int) CallSummary {
 	}
 }
 
+// prepareQueries sets up the read-only query surface once the
+// summaries are final: the indirect-call summary, which every
+// per-routine liveness solve and indirect call-site query applies, and
+// the empty per-routine liveness memo. Every constructor of an
+// Analysis (Analyze, Reanalyze, Rehydrate) ends with it.
+func (a *Analysis) prepareQueries() {
+	a.indirect = a.indirectCallSummary()
+	a.livOnce = make([]sync.Once, len(a.Prog.Routines))
+	a.liv = make([]*dataflow.Liveness, len(a.Prog.Routines))
+}
+
 // IndirectCallSummary returns the summary to apply at an indirect call
 // site: the §3.5 calling-standard assumption, widened — under the
 // closed-world configuration — with the summaries of every
-// address-taken routine (any of them could be the target).
-func (a *Analysis) IndirectCallSummary() CallSummary {
+// address-taken routine (any of them could be the target). It is a
+// constant of the converged analysis, computed once when the analysis
+// is built.
+func (a *Analysis) IndirectCallSummary() CallSummary { return a.indirect }
+
+// indirectCallSummary computes IndirectCallSummary from the final
+// summaries.
+func (a *Analysis) indirectCallSummary() CallSummary {
 	std := callstd.UnknownCallSummary()
 	cs := CallSummary{Used: std.Used, Defined: std.Defined, Killed: std.Killed}
 	if !a.Config.LinkIndirectCalls {

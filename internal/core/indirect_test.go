@@ -1,9 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/callstd"
 	"repro/internal/prog"
+	"repro/internal/progen"
 	"repro/internal/regset"
 )
 
@@ -97,4 +100,96 @@ func TestClosedWorldWithoutAddressTakenFallsBackToStandard(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wantIndirectCallSummary recomputes the indirect-call summary from an
+// analysis's final Summaries and its program's address-taken flags.
+func wantIndirectCallSummary(a *Analysis) CallSummary {
+	std := callstd.UnknownCallSummary()
+	cs := CallSummary{Used: std.Used, Defined: std.Defined, Killed: std.Killed}
+	if !a.Config.LinkIndirectCalls {
+		return cs
+	}
+	for ri, r := range a.Prog.Routines {
+		if r.AddressTaken {
+			cs.Used = cs.Used.Union(a.Summaries[ri].CallUsed[0])
+			cs.Defined = cs.Defined.Intersect(a.Summaries[ri].CallDefined[0])
+			cs.Killed = cs.Killed.Union(a.Summaries[ri].CallKilled[0])
+		}
+	}
+	return cs
+}
+
+// TestIndirectCallSummaryMemoized checks the indirect-call summary that
+// every constructor fixes once against the aggregate recomputed from the
+// final summaries, on a closed-world generated program: for Analyze,
+// for both re-analysis entry points across a series of edits, and for
+// Rehydrate. Concurrent callers, mixed with the liveness solves that
+// read it, must all see that value (run under -race).
+func TestIndirectCallSummaryMemoized(t *testing.T) {
+	p := progen.Generate(progen.TestProfile(120), progen.DefaultOptions(4))
+	taken := 0
+	for _, r := range p.Routines {
+		if r.AddressTaken {
+			taken++
+		}
+	}
+	if taken == 0 {
+		t.Fatal("generated program has no address-taken routine; the check would be vacuous")
+	}
+	a, err := Analyze(p, WithClosedWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, a *Analysis) {
+		t.Helper()
+		want := wantIndirectCallSummary(a)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for ri := g; ri < len(a.Prog.Routines); ri += 8 {
+					a.RoutineLiveness(ri)
+					if got := a.IndirectCallSummary(); got != want {
+						t.Errorf("%s: IndirectCallSummary = %+v, recomputed %+v", name, got, want)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	check("analyze", a)
+
+	moved := 0
+	for seed := uint64(1); seed <= 12; seed++ {
+		edited, desc := progen.Mutate(p, seed)
+		re, err := Reanalyze(a, edited, WithClosedWorld())
+		if err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		check("reanalyze "+desc, re)
+		if re.IndirectCallSummary() != a.IndirectCallSummary() {
+			moved++
+		}
+		fresh, err := Analyze(p, WithClosedWorld())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip, err := ReanalyzeInPlace(fresh, edited, WithClosedWorld())
+		if err != nil {
+			t.Fatalf("%s in place: %v", desc, err)
+		}
+		check("in place "+desc, ip)
+	}
+	if moved == 0 {
+		t.Error("no edit moved the indirect-call summary; a stale memo would go unnoticed")
+	}
+
+	rh, err := Rehydrate(p, a.Export(), WithClosedWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("rehydrate", rh)
 }

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/callgraph"
 	"repro/internal/callstd"
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/regset"
@@ -484,8 +482,7 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	inc.ReusedComponents = nComp - inc.ResolvedComponents
 	a.Incremental = inc
 	a.collectCountsIncremental(prev, dirty, oldGraphs, shapeSame)
-	a.livOnce = make([]sync.Once, nNew)
-	a.liv = make([]*dataflow.Liveness, nNew)
+	a.prepareQueries()
 	asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
 		Arg("reused_components", int64(inc.ReusedComponents))
 	a.publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0)

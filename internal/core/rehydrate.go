@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/prog"
 	"repro/internal/regset"
 )
@@ -276,8 +274,7 @@ func RehydrateContext(ctx context.Context, p *prog.Program, st *SavedState, opts
 	a.collectCounts()
 	a.hashes = append([]uint64(nil), st.BodyHashes...)
 	a.hashOnce.Do(func() {})
-	a.livOnce = make([]sync.Once, len(p.Routines))
-	a.liv = make([]*dataflow.Liveness, len(p.Routines))
+	a.prepareQueries()
 	return a, nil
 }
 

@@ -95,14 +95,20 @@ func (c *lruCache) evictOverflow() {
 	}
 }
 
-// remove drops the entry under key, if present.
-func (c *lruCache) remove(key string) {
+// compareAndRemove drops the entry under key only while key still
+// maps to v, and reports whether it did. A caller dropping a failed
+// entry must not take out a finished one that another request
+// installed under the same key in the meantime.
+func (c *lruCache) compareAndRemove(key string, v any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
+	el, ok := c.items[key]
+	if !ok || el.Value.(*lruItem).v != v {
+		return false
 	}
+	c.ll.Remove(el)
+	delete(c.items, key)
+	return true
 }
 
 // len returns the number of cached entries.
@@ -130,22 +136,30 @@ type loadedProgram struct {
 	info api.ProgramInfo
 }
 
-// analysisEntry is one (program × option set) in the analysis cache.
-// The entry is inserted before the analysis runs, so concurrent
-// requests for the same key share one compute (singleflight); waiters
-// block on done. The entry counts its waiters: when the last waiter
-// abandons (its HTTP request was cancelled) before the compute
-// finishes, the compute's context is cancelled and the analysis stops
-// at its next cancellation point instead of leaking workers — the
-// request lifecycle owns the analysis lifecycle.
+// analysisEntry is one (program × option set) in the analysis cache,
+// shared by every route and wire schema. The entry is inserted before
+// the analysis runs, so concurrent requests for the same key share one
+// compute (singleflight); waiters block on done. The entry counts its
+// waiters: when the last waiter abandons (its HTTP request was
+// cancelled) before the compute finishes, the compute's context is
+// cancelled and the analysis stops at its next cancellation point
+// instead of leaking workers — the request lifecycle owns the analysis
+// lifecycle.
+//
+// Point queries read the analysis itself; the full document is a
+// rendering of it, built once per schema on first use (doc).
 type analysisEntry struct {
-	key  string
 	done chan struct{}
 
-	// Immutable after done closes.
-	a   *core.Analysis
-	doc api.AnalysisDoc
-	err error
+	// Immutable after done closes. metrics is the snapshot of the
+	// run's private registry taken when it finished: later lazy
+	// liveness solves still count into that registry, so a snapshot
+	// taken at render time would depend on the queries served first.
+	a       *core.Analysis
+	metrics obs.Snapshot
+	err     error
+
+	v1, v2 renderedDoc
 
 	mu       sync.Mutex
 	waiters  int
@@ -153,40 +167,48 @@ type analysisEntry struct {
 	cancel   context.CancelFunc
 }
 
-func newAnalysisEntry(key string) *analysisEntry {
-	return &analysisEntry{key: key, done: make(chan struct{})}
+// renderedDoc is one schema's frozen analysis document.
+type renderedDoc struct {
+	once sync.Once
+	doc  api.AnalysisDoc
 }
 
-// finishedEntry wraps an already-computed analysis (from the patch or
-// snapshot-load endpoints) as a ready cache entry: done is closed, so
-// waiters return immediately.
-func finishedEntry(key string, a *core.Analysis, doc api.AnalysisDoc) *analysisEntry {
-	e := newAnalysisEntry(key)
+func newAnalysisEntry() *analysisEntry {
+	return &analysisEntry{done: make(chan struct{})}
+}
+
+// finishedEntry wraps an already-computed analysis (from the patch,
+// optimize or snapshot-load endpoints) and the snapshot of the registry
+// it ran with as a ready cache entry: done is closed, so waiters return
+// immediately.
+func finishedEntry(a *core.Analysis, metrics obs.Snapshot) *analysisEntry {
+	e := newAnalysisEntry()
 	e.a = a
-	e.doc = doc
+	e.metrics = metrics
 	e.finished = true
 	close(e.done)
 	return e
 }
 
-// compute runs the analysis under its own cancellable context and
-// freezes the full analysis document — built from a per-analysis
-// metrics registry, so the document (timings included) is identical
-// for every request that reads this entry. schema stamps the document.
+// compute runs the analysis under its own cancellable context, against
+// a private metrics registry whose snapshot it keeps, so every document
+// rendered from this entry (timings included) is identical for every
+// request that reads it. It renders no document: point queries never
+// need one.
 //
 // rt/span belong to the request that created the entry: the analysis
 // records its per-stage spans under span, and span is closed here —
 // not by the creator — so the tree stays truthful even when the
 // creating request abandons and another waiter inherits the compute.
 // Both are nil/NoSpan when that request was untraced.
-func (e *analysisEntry) compute(ctx context.Context, p *prog.Program, o api.Options, schema string, parallel int, rt *obs.RequestTrace, span obs.RSpan) {
+func (e *analysisEntry) compute(ctx context.Context, p *prog.Program, o api.Options, parallel int, rt *obs.RequestTrace, span obs.RSpan) {
 	m := obs.NewMetrics()
 	a, err := core.AnalyzeContext(ctx, p,
 		o.AnalysisOptions(core.WithParallelism(parallel), core.WithMetrics(m),
 			core.WithRequestSpans(rt, span))...)
 	if err == nil {
 		e.a = a
-		e.doc = api.BuildVersionedDoc(schema, a, m)
+		e.metrics = m.Snapshot()
 	}
 	rt.End(span)
 	e.err = err
@@ -194,6 +216,24 @@ func (e *analysisEntry) compute(ctx context.Context, p *prog.Program, o api.Opti
 	e.finished = true
 	e.mu.Unlock()
 	close(e.done)
+}
+
+// doc returns the entry's analysis document stamped with schema,
+// rendering it on first use; later calls under the same schema return
+// the same document. Only a finished, successful entry has one.
+//
+// An entry installed by /v1/patch or /v1/optimize holds the analysis
+// that request derived, so its documents' iteration, timing and metrics
+// fields describe that run; the summaries and PSG counts equal a
+// from-scratch analysis either way. A spike.v1 rendering never carries
+// the incremental block.
+func (e *analysisEntry) doc(schema string) api.AnalysisDoc {
+	r := &e.v1
+	if schema != api.SchemaVersion {
+		r = &e.v2
+	}
+	r.once.Do(func() { r.doc = api.RenderDoc(schema, e.a, e.metrics) })
+	return r.doc
 }
 
 // ready reports whether the entry's analysis has already finished —

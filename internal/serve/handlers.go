@@ -25,14 +25,13 @@ func (s *Server) handleLoad(r *http.Request) (int, any) {
 }
 
 // query is the shared prologue of the v1 point-query endpoints:
-// resolve the program, then the (cached or freshly computed) analysis
-// under the spike.v1 cache key.
+// resolve the program, then its (cached or freshly computed) analysis.
 func (s *Server) query(ctx context.Context, program string, o api.Options) (*loadedProgram, *analysisEntry, int, error) {
 	lp, err := s.program(program)
 	if err != nil {
 		return nil, nil, http.StatusNotFound, err
 	}
-	ent, err := s.analysis(ctx, lp, o, api.SchemaVersion)
+	ent, err := s.analysis(ctx, lp, o)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -139,9 +138,10 @@ func (s *Server) handleAnalyze(r *http.Request) (int, any) {
 	if err != nil {
 		return errResp(status, "%v", err)
 	}
-	// The document was frozen when the analysis converged, so every
-	// request for this (program, options) serves identical bytes.
-	return http.StatusOK, ent.doc
+	// The entry renders its spike.v1 document once, from the analysis
+	// and the metrics frozen when it converged, so every request for
+	// this (program, options) serves identical bytes.
+	return http.StatusOK, ent.doc(api.SchemaVersion)
 }
 
 func (s *Server) handleBatch(r *http.Request) (int, any) {

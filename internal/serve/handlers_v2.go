@@ -1,10 +1,12 @@
 package serve
 
 // The spike.v2 endpoints: POST /v1/patch (incremental re-analysis of
-// an edited program) and POST /v1/snapshot (save/load a converged
-// analysis in the internal/snapshot binary format). Everything here
-// stamps documents with api.SchemaVersionV2 and caches analyses under
-// the v2 component of the cache key; the v1 surface is untouched.
+// an edited program), POST /v1/optimize (the Figure 1 optimizer) and
+// POST /v1/snapshot (save/load a converged analysis in the
+// internal/snapshot binary format). Everything here stamps documents
+// with api.SchemaVersionV2. The analyses these endpoints read and
+// install are the same cache entries the v1 point queries use; only
+// the rendered document differs by schema.
 
 import (
 	"context"
@@ -49,8 +51,8 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 		return errRespV(schema, http.StatusNotFound, "%v", err)
 	}
 	// The base analysis is the warm start; computed on demand like any
-	// query, and shared with other v2 requests for the base program.
-	ent, err := s.analysis(r.Context(), lp, req.Options, schema)
+	// query, and shared with every route that reads the base program.
+	ent, err := s.analysis(r.Context(), lp, req.Options)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -98,21 +100,21 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 	}
 
 	// The patched program becomes a first-class loaded program, its
-	// incremental analysis a ready cache entry: follow-up v2 queries on
-	// the new ID hit the cache instead of re-solving.
+	// incremental analysis a ready cache entry: follow-up queries on the
+	// new ID, v1 point queries included, hit the cache instead of
+	// re-solving.
 	newLP := &loadedProgram{id: info.ID, prog: patched, info: info}
 	s.programs.add(newLP.id, newLP)
 	s.progLoads.Add(1)
-	doc := api.BuildVersionedDoc(schema, inc, m)
-	key := analysisKey(newLP.id, req.Options, schema)
-	s.analyses.add(key, finishedEntry(key, inc, doc))
+	newEnt := finishedEntry(inc, m.Snapshot())
+	s.analyses.add(analysisKey(newLP.id, req.Options), newEnt)
 
 	return http.StatusOK, api.PatchResponse{
 		SchemaVersion: schema,
 		Base:          lp.id,
 		Program:       info,
 		Incremental:   api.IncrementalInfoOf(inc.Incremental),
-		Analysis:      doc,
+		Analysis:      newEnt.doc(schema),
 	}
 }
 
@@ -130,8 +132,8 @@ type optimizeEntry struct {
 // optimizeKey extends the analysis cache key with the optimizer knobs:
 // two requests share a cached response exactly when they agree on the
 // program, the analysis world and every pass toggle.
-func optimizeKey(id string, o api.Options, schema string, req *api.OptimizeRequest) string {
-	return analysisKey(id, o, schema) + "|opt|" + req.OptKey()
+func optimizeKey(id string, o api.Options, req *api.OptimizeRequest) string {
+	return analysisKey(id, o) + "|opt|" + req.OptKey()
 }
 
 func (s *Server) handleOptimize(r *http.Request) (int, any) {
@@ -144,7 +146,7 @@ func (s *Server) handleOptimize(r *http.Request) (int, any) {
 	if err != nil {
 		return errRespV(schema, http.StatusNotFound, "%v", err)
 	}
-	key := optimizeKey(lp.id, req.Options, schema, &req)
+	key := optimizeKey(lp.id, req.Options, &req)
 	if v, ok := s.analyses.get(key); ok {
 		if ent, ok := v.(*optimizeEntry); ok {
 			s.anaHits.Add(1)
@@ -195,20 +197,20 @@ func (s *Server) handleOptimize(r *http.Request) (int, any) {
 
 	// Mirror handlePatch: the optimized program becomes a first-class
 	// loaded program and its converged analysis a ready cache entry, so
-	// follow-up queries on the new ID are warm.
+	// follow-up queries on the new ID, v1 point queries included, are
+	// warm.
 	newLP := &loadedProgram{id: info.ID, prog: out, info: info}
 	s.programs.add(newLP.id, newLP)
 	s.progLoads.Add(1)
-	doc := api.BuildVersionedDoc(schema, fa, m)
-	akey := analysisKey(newLP.id, req.Options, schema)
-	s.analyses.add(akey, finishedEntry(akey, fa, doc))
+	newEnt := finishedEntry(fa, m.Snapshot())
+	s.analyses.add(analysisKey(newLP.id, req.Options), newEnt)
 
 	resp := api.OptimizeResponse{
 		SchemaVersion: schema,
 		Base:          lp.id,
 		Program:       info,
 		Report:        wrep,
-		Analysis:      doc,
+		Analysis:      newEnt.doc(schema),
 	}
 	s.analyses.add(key, &optimizeEntry{resp: resp})
 	return http.StatusOK, resp
@@ -244,7 +246,7 @@ func (s *Server) snapshotSave(ctx context.Context, req *api.SnapshotRequest) (in
 	if req.Options != nil {
 		o = *req.Options
 	}
-	ent, err := s.analysis(ctx, lp, o, schema)
+	ent, err := s.analysis(ctx, lp, o)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -272,10 +274,11 @@ func (s *Server) snapshotSave(ctx context.Context, req *api.SnapshotRequest) (in
 }
 
 // snapshotLoad restores an analysis from a snapshot image and warms
-// the analysis cache with it. The image binds its own program identity
-// (per-routine body hashes) and option set; the program must already
-// be loaded, and request fields that contradict the snapshot are a
-// conflict, not an override.
+// the analysis cache with it: every route, v1 point queries included,
+// then reads the restored analysis. The image binds its own program
+// identity (per-routine body hashes) and option set; the program must
+// already be loaded, and request fields that contradict the snapshot
+// are a conflict, not an override.
 func (s *Server) snapshotLoad(ctx context.Context, req *api.SnapshotRequest) (int, any) {
 	const schema = api.SchemaVersionV2
 	img := req.Snapshot
@@ -322,9 +325,7 @@ func (s *Server) snapshotLoad(ctx context.Context, req *api.SnapshotRequest) (in
 	if err != nil {
 		return errRespV(schema, v2Status(err), "snapshot load: %v", err)
 	}
-	doc := api.BuildVersionedDoc(schema, a, m)
-	key := analysisKey(lp.id, o, schema)
-	s.analyses.add(key, finishedEntry(key, a, doc))
+	s.analyses.add(analysisKey(lp.id, o), finishedEntry(a, m.Snapshot()))
 	return http.StatusOK, api.SnapshotResponse{
 		SchemaVersion: schema,
 		Action:        "load",

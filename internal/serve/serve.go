@@ -68,7 +68,8 @@ type Config struct {
 	// counters and latency histograms, cache hit/miss/eviction
 	// counters). A fresh registry is created when nil. This registry is
 	// the daemon's own; each cached analysis runs against a private
-	// registry whose snapshot is frozen into the analysis document.
+	// registry, snapshotted when the analysis converges, and every
+	// document rendered from that analysis carries the snapshot.
 	Metrics *obs.Metrics
 
 	// FlightRecorder, when > 0, retains the span trees of the last N
@@ -103,7 +104,7 @@ type Server struct {
 	mux     *http.ServeMux
 
 	programs *lruCache // program id → *loadedProgram
-	analyses *lruCache // analysisKey(id, options, schema) → *analysisEntry
+	analyses *lruCache // analysisKey(id, options) → *analysisEntry, shared by every schema
 
 	progLoads  *obs.Counter
 	progHits   *obs.Counter
@@ -389,28 +390,25 @@ func (s *Server) program(id string) (*loadedProgram, error) {
 	return v.(*loadedProgram), nil
 }
 
-// analysisKey indexes the analysis cache by program identity, option
-// set and wire schema version. The schema component is load-bearing:
-// the frozen document inside an entry is stamped with the schema it
-// was built under (and a spike.v2 document may carry the incremental
-// provenance block), so an entry warmed through the v2 patch or
-// snapshot endpoints must never answer a spike.v1 request — which is
-// exactly what happened when the key was only id + option key.
-func analysisKey(id string, o api.Options, schema string) string {
-	return id + "|" + o.Key() + "|" + schema
+// analysisKey indexes the analysis cache by program identity and
+// option set: one entry per analysis, whichever route computed or
+// installed it. The wire schema is not part of the key; an entry
+// renders a document per schema on demand (analysisEntry.doc).
+func analysisKey(id string, o api.Options) string {
+	return id + "|" + o.Key()
 }
 
-// analysis returns the converged analysis of (program, options,
-// schema), computing it at most once per key. It blocks until the
-// analysis is ready or ctx is cancelled; when the last waiting request
-// abandons an in-flight compute, the compute is cancelled and its
-// cache slot dropped.
-func (s *Server) analysis(ctx context.Context, lp *loadedProgram, o api.Options, schema string) (*analysisEntry, error) {
-	key := analysisKey(lp.id, o, schema)
+// analysis returns the converged analysis of (program, options),
+// computing it at most once per key. It blocks until the analysis is
+// ready or ctx is cancelled; when the last waiting request abandons an
+// in-flight compute, the compute is cancelled and its cache slot
+// dropped.
+func (s *Server) analysis(ctx context.Context, lp *loadedProgram, o api.Options) (*analysisEntry, error) {
+	key := analysisKey(lp.id, o)
 	rt := obs.TraceFrom(ctx)
 	rt.SetContext(lp.id, o.Key())
 	for {
-		v, created := s.analyses.getOrCreate(key, func() any { return newAnalysisEntry(key) })
+		v, created := s.analyses.getOrCreate(key, func() any { return newAnalysisEntry() })
 		ent := v.(*analysisEntry)
 		// The request's span tree attributes the cache outcome: the
 		// creator records "cache miss" and hands the open "analyze" span
@@ -426,7 +424,7 @@ func (s *Server) analysis(ctx context.Context, lp *loadedProgram, o api.Options,
 			rt.End(missSpan)
 			cctx, cancel := context.WithCancel(context.Background())
 			ent.cancel = cancel
-			go ent.compute(cctx, lp.prog, o, schema, s.conf.Parallelism,
+			go ent.compute(cctx, lp.prog, o, s.conf.Parallelism,
 				rt, rt.Begin(rt.Root(), "analyze"))
 		} else {
 			s.anaHits.Add(1)
@@ -442,9 +440,12 @@ func (s *Server) analysis(ctx context.Context, lp *loadedProgram, o api.Options,
 		if err == nil {
 			return ent, nil
 		}
+		// Both drops below compare before deleting: a patch, optimize or
+		// snapshot load may have installed a finished entry under this
+		// key since ent was created, and that one stays.
 		if ctx.Err() != nil {
 			if abandoned {
-				s.analyses.remove(key)
+				s.analyses.compareAndRemove(key, ent)
 			}
 			return nil, ctx.Err()
 		}
@@ -452,7 +453,7 @@ func (s *Server) analysis(ctx context.Context, lp *loadedProgram, o api.Options,
 		// cancelled compute (we raced another request's abandonment)
 		// is retryable under our still-live context; a genuine
 		// analysis error is not.
-		s.analyses.remove(key)
+		s.analyses.compareAndRemove(key, ent)
 		if !errors.Is(err, context.Canceled) {
 			return nil, err
 		}

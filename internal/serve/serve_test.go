@@ -90,7 +90,13 @@ func (c *testClient) get(route string) (int, []byte) {
 // mustLoad loads testSrc and returns its program ID.
 func (c *testClient) mustLoad() string {
 	c.t.Helper()
-	status, body := c.post("/v1/programs", api.LoadRequest{Asm: testSrc})
+	return c.mustLoadRequest(api.LoadRequest{Asm: testSrc})
+}
+
+// mustLoadRequest loads a program and returns its ID.
+func (c *testClient) mustLoadRequest(req api.LoadRequest) string {
+	c.t.Helper()
+	status, body := c.post("/v1/programs", req)
 	if status != http.StatusOK {
 		c.t.Fatalf("load: status %d: %s", status, body)
 	}
@@ -448,7 +454,7 @@ func TestAbandonedRequestCancelsAnalysis(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = s.analysis(ctx, lp, api.Options{}, api.SchemaVersion)
+	_, err = s.analysis(ctx, lp, api.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("analysis under cancelled context: err = %v, want context.Canceled", err)
 	}
@@ -456,7 +462,7 @@ func TestAbandonedRequestCancelsAnalysis(t *testing.T) {
 		t.Errorf("abandoned analysis left %d cache entries, want 0", n)
 	}
 	// The slot is clean: a live request computes from scratch.
-	ent, err := s.analysis(context.Background(), lp, api.Options{}, api.SchemaVersion)
+	ent, err := s.analysis(context.Background(), lp, api.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package serve
 
-// Tests of the spike.v2 surface: the patch and snapshot endpoints and
-// the schema-versioned analysis cache key.
+// Tests of the spike.v2 surface: the patch, optimize and snapshot
+// endpoints, and the analysis cache entries they share with the v1
+// point queries.
 
 import (
 	"encoding/json"
@@ -13,6 +14,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/isa"
+	"repro/internal/sxe"
 )
 
 // patchedDouble gives double a use of its second argument, changing
@@ -46,7 +49,7 @@ func (c *testClient) mustPatch(id string, o api.Options, routine, asm string) ap
 // the reuse provenance, and the incremental document's summaries match
 // a from-scratch analysis of the patched program.
 func TestPatchEndpoint(t *testing.T) {
-	_, c := newTestClient(t, Config{})
+	s, c := newTestClient(t, Config{})
 	id := c.mustLoad()
 	resp := c.mustPatch(id, api.Options{}, "double", patchedDouble)
 
@@ -70,8 +73,10 @@ func TestPatchEndpoint(t *testing.T) {
 	}
 
 	// The incremental result must equal a from-scratch analysis of the
-	// patched source, which the daemon serves for the new ID via v1.
-	status, body := c.post("/v1/summary", api.SummaryRequest{
+	// patched source, which a fresh daemon loading its bytes computes.
+	_, fresh := newTestClient(t, Config{})
+	fresh.mustLoadRequest(api.LoadRequest{SXE: programImage(t, s, resp.Program.ID)})
+	status, body := fresh.post("/v1/summary", api.SummaryRequest{
 		Program: resp.Program.ID, Routine: "double",
 	})
 	if status != http.StatusOK {
@@ -135,55 +140,219 @@ func TestPatchErrors(t *testing.T) {
 	}
 }
 
-// TestAnalysisCacheKeyIncludesSchema is the regression test for the
-// cache-key bug: entries warmed through the v2 endpoints carry
-// v2-stamped documents, so a v1 /v1/analyze for the same (program,
-// options) must not be served from them. Before the schema version
-// joined the key, it was.
-func TestAnalysisCacheKeyIncludesSchema(t *testing.T) {
+// TestPatchedEntryServesV1Document pins the one cache entry per
+// (program, options) from the v1 side: a v1 /v1/analyze of a patched
+// program is served from the entry the patch installed — a hit, not a
+// second compute — and the document rendered for it is stamped
+// spike.v1, carries no v2 incremental block, and has the routines and
+// PSG counts of a from-scratch analysis.
+func TestPatchedEntryServesV1Document(t *testing.T) {
 	s, c := newTestClient(t, Config{})
 	id := c.mustLoad()
 	resp := c.mustPatch(id, api.Options{}, "double", patchedDouble)
 	patchedID := resp.Program.ID
 
-	// The patch warmed a v2 entry for the patched program.
-	wantV2 := analysisKey(patchedID, api.Options{}, api.SchemaVersionV2)
-	found := false
-	for _, k := range s.analyses.keys() {
-		if k == wantV2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("analysis cache lacks the patch-warmed key %q (have %v)", wantV2, s.analyses.keys())
-	}
-
-	// A v1 analyze of the patched program must produce a v1 document —
-	// a fresh compute under the v1 key, not the warmed v2 entry.
+	hits := counterValue(t, s, "serve/analysis_cache_hits")
+	misses := counterValue(t, s, "serve/analysis_cache_misses")
 	status, body := c.post("/v1/analyze", api.AnalyzeRequest{Program: patchedID})
 	if status != http.StatusOK {
 		t.Fatalf("analyze: status %d: %s", status, body)
 	}
-	var doc map[string]any
+	if got := counterValue(t, s, "serve/analysis_cache_hits"); got != hits+1 {
+		t.Errorf("v1 analyze of the patched program: hits %d -> %d, want +1", hits, got)
+	}
+	if got := counterValue(t, s, "serve/analysis_cache_misses"); got != misses {
+		t.Errorf("v1 analyze of the patched program recomputed it (misses %d -> %d)", misses, got)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if v := raw["schema_version"]; v != api.SchemaVersion {
+		t.Errorf("v1 analyze served schema %v, want %v", v, api.SchemaVersion)
+	}
+	if _, leaked := raw["incremental"]; leaked {
+		t.Error("v1 analyze served a document with the v2 incremental block")
+	}
+
+	// A fresh daemon that loads the patched bytes analyzes from scratch.
+	_, fresh := newTestClient(t, Config{})
+	if got := fresh.mustLoadRequest(api.LoadRequest{SXE: programImage(t, s, patchedID)}); got != patchedID {
+		t.Fatalf("fresh daemon named the patched program %s, want %s", got, patchedID)
+	}
+	status, freshBody := fresh.post("/v1/analyze", api.AnalyzeRequest{Program: patchedID})
+	if status != http.StatusOK {
+		t.Fatalf("fresh analyze: status %d: %s", status, freshBody)
+	}
+	var doc, want api.AnalysisDoc
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if v := doc["schema_version"]; v != api.SchemaVersion {
-		t.Errorf("v1 analyze served schema %v, want %v", v, api.SchemaVersion)
+	if err := json.Unmarshal(freshBody, &want); err != nil {
+		t.Fatal(err)
 	}
-	if _, leaked := doc["incremental"]; leaked {
-		t.Error("v1 analyze served a document with the v2 incremental block")
+	gotRoutines, _ := json.Marshal(doc.Routines)
+	wantRoutines, _ := json.Marshal(want.Routines)
+	if string(gotRoutines) != string(wantRoutines) {
+		t.Errorf("routines differ from a from-scratch analysis:\n got: %s\nwant: %s", gotRoutines, wantRoutines)
 	}
-	wantV1 := analysisKey(patchedID, api.Options{}, api.SchemaVersion)
-	haveV1 := false
-	for _, k := range s.analyses.keys() {
-		if k == wantV1 {
-			haveV1 = true
+	if doc.Stats.PSGNodes != want.Stats.PSGNodes || doc.Stats.PSGEdges != want.Stats.PSGEdges {
+		t.Errorf("PSG nodes/edges = %d/%d, from scratch %d/%d",
+			doc.Stats.PSGNodes, doc.Stats.PSGEdges, want.Stats.PSGNodes, want.Stats.PSGEdges)
+	}
+}
+
+// TestInstalledEntriesAreWarm pins the read-after-write path: after
+// /v1/patch, /v1/optimize or a snapshot load, the first summary,
+// liveness and call-site queries on the resulting program are served
+// from the entry that request installed — no analysis miss, a "cache
+// hit" span — and answer byte-identically to a fresh daemon that
+// loaded the same program bytes.
+func TestInstalledEntriesAreWarm(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		install func(t *testing.T, c *testClient, id string) string
+	}{
+		{"patch", func(t *testing.T, c *testClient, id string) string {
+			return c.mustPatch(id, api.Options{}, "double", patchedDouble).Program.ID
+		}},
+		{"optimize", func(t *testing.T, c *testClient, id string) string {
+			status, body := c.post("/v1/optimize", api.OptimizeRequest{Program: id})
+			if status != http.StatusOK {
+				t.Fatalf("optimize: status %d: %s", status, body)
+			}
+			var resp api.OptimizeResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			return resp.Program.ID
+		}},
+		{"snapshot load", func(t *testing.T, c *testClient, id string) string {
+			_, saver := newTestClient(t, Config{})
+			saver.mustLoad()
+			status, body := saver.post("/v1/snapshot", api.SnapshotRequest{Action: "save", Program: id})
+			if status != http.StatusOK {
+				t.Fatalf("save: status %d: %s", status, body)
+			}
+			var saved api.SnapshotResponse
+			if err := json.Unmarshal(body, &saved); err != nil {
+				t.Fatal(err)
+			}
+			status, body = c.post("/v1/snapshot", api.SnapshotRequest{Action: "load", Snapshot: saved.Snapshot})
+			if status != http.StatusOK {
+				t.Fatalf("load: status %d: %s", status, body)
+			}
+			return id
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := newTestClient(t, Config{FlightRecorder: 8})
+			id := tc.install(t, c, c.mustLoad())
+			_, fresh := newTestClient(t, Config{})
+			if got := fresh.mustLoadRequest(api.LoadRequest{SXE: programImage(t, s, id)}); got != id {
+				t.Fatalf("fresh daemon named the program %s, want %s", got, id)
+			}
+			call := firstCall(t, s, id)
+			for _, q := range []struct {
+				route, name string
+				req         any
+			}{
+				{"/v1/summary", "summary", api.SummaryRequest{Program: id, Routine: "double"}},
+				{"/v1/liveness", "liveness", api.LivenessRequest{Program: id, Routine: "main", Instr: 0}},
+				{"/v1/callsite", "callsite", api.CallSiteRequest{Program: id, Routine: "main", Instr: call}},
+			} {
+				misses := counterValue(t, s, "serve/analysis_cache_misses")
+				status, body := c.post(q.route, q.req)
+				if status != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", q.name, status, body)
+				}
+				if got := counterValue(t, s, "serve/analysis_cache_misses"); got != misses {
+					t.Errorf("%s after %s: analysis misses %d -> %d, want unchanged", q.name, tc.name, misses, got)
+				}
+				if spans := lastSpanNames(t, s, q.name); !spans["cache hit"] || spans["cache miss"] {
+					t.Errorf("%s after %s: spans %v, want a cache hit and no miss", q.name, tc.name, spans)
+				}
+				status, want := fresh.post(q.route, q.req)
+				if status != http.StatusOK {
+					t.Fatalf("fresh %s: status %d: %s", q.name, status, want)
+				}
+				if string(body) != string(want) {
+					t.Errorf("%s after %s differs from a fresh daemon:\n got: %s\nwant: %s", q.name, tc.name, body, want)
+				}
+			}
+		})
+	}
+}
+
+// TestBaseAnalysisSharedWithV1 pins the other direction: a patch or a
+// snapshot save whose base program was already queried through v1
+// reuses that analysis instead of computing it again.
+func TestBaseAnalysisSharedWithV1(t *testing.T) {
+	s, c := newTestClient(t, Config{})
+	id := c.mustLoad()
+	if status, body := c.post("/v1/summary", api.SummaryRequest{Program: id, Routine: "main"}); status != http.StatusOK {
+		t.Fatalf("summary: status %d: %s", status, body)
+	}
+	misses := counterValue(t, s, "serve/analysis_cache_misses")
+	c.mustPatch(id, api.Options{}, "double", patchedDouble)
+	if got := counterValue(t, s, "serve/analysis_cache_misses"); got != misses {
+		t.Errorf("patch of a v1-queried base recomputed it (misses %d -> %d)", misses, got)
+	}
+	if status, body := c.post("/v1/snapshot", api.SnapshotRequest{Action: "save", Program: id}); status != http.StatusOK {
+		t.Fatalf("save: status %d: %s", status, body)
+	}
+	if got := counterValue(t, s, "serve/analysis_cache_misses"); got != misses {
+		t.Errorf("snapshot save of a v1-queried program recomputed it (misses %d -> %d)", misses, got)
+	}
+}
+
+// programImage encodes a program the daemon holds, so a test can load
+// the same bytes elsewhere.
+func programImage(t *testing.T, s *Server, id string) []byte {
+	t.Helper()
+	v, ok := s.programs.get(id)
+	if !ok {
+		t.Fatalf("daemon does not hold program %s", id)
+	}
+	img, err := sxe.Encode(v.(*loadedProgram).prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// firstCall returns the index of main's first direct call in a
+// program the daemon holds.
+func firstCall(t *testing.T, s *Server, id string) int {
+	t.Helper()
+	v, ok := s.programs.get(id)
+	if !ok {
+		t.Fatalf("daemon does not hold program %s", id)
+	}
+	p := v.(*loadedProgram).prog
+	ri, _ := p.Index("main")
+	for i, in := range p.Routines[ri].Code {
+		if in.Op == isa.OpJsr {
+			return i
 		}
 	}
-	if !haveV1 {
-		t.Errorf("analysis cache lacks a distinct v1 key %q (have %v)", wantV1, s.analyses.keys())
+	t.Fatalf("program %s: main has no call", id)
+	return 0
+}
+
+// lastSpanNames returns the span names of the most recent request,
+// which must be on route.
+func lastSpanNames(t *testing.T, s *Server, route string) map[string]bool {
+	t.Helper()
+	last := s.flight.Last(1)
+	if len(last) != 1 || last[0].Route != route {
+		t.Fatalf("flight recorder's last request is not a %s request", route)
 	}
+	names := map[string]bool{}
+	for _, sp := range last[0].Spans() {
+		names[sp.Name] = true
+	}
+	return names
 }
 
 // TestSnapshotSaveLoad round-trips a converged analysis through the
@@ -223,7 +392,7 @@ func TestSnapshotSaveLoad(t *testing.T) {
 	if loaded.Action != "load" || loaded.Program != id {
 		t.Fatalf("load response inconsistent: %+v", loaded)
 	}
-	wantKey := analysisKey(id, api.Options{}, api.SchemaVersionV2)
+	wantKey := analysisKey(id, api.Options{})
 	warm := false
 	for _, k := range s2.analyses.keys() {
 		if k == wantKey {
@@ -286,7 +455,7 @@ func TestSnapshotPathRoundTrip(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("load: status %d: %s", status, body)
 	}
-	wantKey := analysisKey(id, o, api.SchemaVersionV2)
+	wantKey := analysisKey(id, o)
 	warm := false
 	for _, k := range s2.analyses.keys() {
 		if k == wantKey {
@@ -392,14 +561,16 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// The optimized program is loaded and its analysis cache-warmed: a
-	// summary query on the new ID must answer without a fresh compute
-	// appearing as a v2 miss... it is a v1 query, so just check it works
-	// and that the v2 key was warmed.
+	// v1 summary query on the new ID answers without a fresh compute.
+	misses := counterValue(t, s, "serve/analysis_cache_misses")
 	status, body = c.post("/v1/summary", api.SummaryRequest{Program: resp.Program.ID, Routine: "double"})
 	if status != http.StatusOK {
 		t.Fatalf("summary of optimized program: status %d: %s", status, body)
 	}
-	wantKey := analysisKey(resp.Program.ID, api.Options{}, api.SchemaVersionV2)
+	if got := counterValue(t, s, "serve/analysis_cache_misses"); got != misses {
+		t.Errorf("summary of optimized program recomputed it (misses %d -> %d)", misses, got)
+	}
+	wantKey := analysisKey(resp.Program.ID, api.Options{})
 	warm := false
 	for _, k := range s.analyses.keys() {
 		if k == wantKey {
@@ -412,7 +583,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 
 	// Repeat: byte-identical request, served from the cache.
 	hits := counterValue(t, s, "serve/analysis_cache_hits")
-	misses := counterValue(t, s, "serve/analysis_cache_misses")
+	misses = counterValue(t, s, "serve/analysis_cache_misses")
 	status, body2 := c.post("/v1/optimize", api.OptimizeRequest{Program: id, Verify: true})
 	if status != http.StatusOK {
 		t.Fatalf("repeat optimize: status %d: %s", status, body2)
@@ -467,7 +638,7 @@ func TestOptimizeErrors(t *testing.T) {
 // TestPatchChain edits twice, the second patch building on the first:
 // each hop is one dirty routine, and identity chains through Base.
 func TestPatchChain(t *testing.T) {
-	_, c := newTestClient(t, Config{})
+	s, c := newTestClient(t, Config{})
 	id := c.mustLoad()
 	r1 := c.mustPatch(id, api.Options{}, "double", patchedDouble)
 	r2 := c.mustPatch(r1.Program.ID, api.Options{}, "main", `
@@ -485,7 +656,9 @@ func TestPatchChain(t *testing.T) {
 	}
 	// The second hop's base analysis was the cached incremental result
 	// of the first — reanalysis of a reanalysis still matches scratch.
-	status, body := c.post("/v1/summary", api.SummaryRequest{Program: r2.Program.ID, Routine: "main"})
+	_, fresh := newTestClient(t, Config{})
+	fresh.mustLoadRequest(api.LoadRequest{SXE: programImage(t, s, r2.Program.ID)})
+	status, body := fresh.post("/v1/summary", api.SummaryRequest{Program: r2.Program.ID, Routine: "main"})
 	if status != http.StatusOK {
 		t.Fatalf("summary: status %d: %s", status, body)
 	}

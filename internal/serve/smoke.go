@@ -13,15 +13,16 @@ import (
 
 // Smoke is the daemon's self-test: it brings up a server in-process on
 // a loopback listener, loads the program at path, and drives the query
-// surface end to end — load, summary, liveness, batch — asserting
-// every response is 200 and, on a repeated query, that the analysis
-// cache reports a hit. The observability surfaces are force-enabled
-// and exercised too: the flight recorder must replay the requests as a
-// Chrome trace, the Prometheus rendering must expose the request
-// counters, pprof must answer, and — with the slow threshold forced to
-// its minimum — every request must land in the slow-query log. It is
-// what `spiked -smoke` and `make serve-smoke` run; progress goes to w,
-// and any failure is the returned error.
+// surface end to end — load, summary, liveness, batch, optimize —
+// asserting every response is 200 and that the analysis cache reports
+// a hit on a repeated query and on the first query of the optimized
+// program. The observability surfaces are force-enabled and exercised
+// too: the flight recorder must replay the requests as a Chrome trace,
+// the Prometheus rendering must expose the request counters, pprof
+// must answer, and — with the slow threshold forced to its minimum —
+// every request must land in the slow-query log. It is what
+// `spiked -smoke` and `make serve-smoke` run; progress goes to w, and
+// any failure is the returned error.
 func Smoke(path string, conf Config, w io.Writer) error {
 	if conf.FlightRecorder <= 0 {
 		conf.FlightRecorder = 64
@@ -115,6 +116,31 @@ func Smoke(path string, conf Config, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "smoke: repeat optimize hit the cache (hits %d -> %d)\n",
 		optHitsBefore, optHitsAfter)
+
+	// The optimize request installed the optimized program's analysis,
+	// so the first v1 query of the new ID must be a cache hit, not a
+	// second compute.
+	optMissesBefore, err := c.counter("serve/analysis_cache_misses")
+	if err != nil {
+		return fmt.Errorf("smoke: metrics: %w", err)
+	}
+	if err := c.post("/v1/summary", api.SummaryRequest{Program: opt.Program.ID, Routine: routine}, &sum); err != nil {
+		return fmt.Errorf("smoke: summary of optimized %s: %w", routine, err)
+	}
+	optHitsAfterRead, err := c.counter("serve/analysis_cache_hits")
+	if err != nil {
+		return fmt.Errorf("smoke: metrics: %w", err)
+	}
+	optMissesAfter, err := c.counter("serve/analysis_cache_misses")
+	if err != nil {
+		return fmt.Errorf("smoke: metrics: %w", err)
+	}
+	if optHitsAfterRead <= optHitsAfter || optMissesAfter != optMissesBefore {
+		return fmt.Errorf("smoke: first query of the optimized program was not served from the optimize result (hits %d -> %d, misses %d -> %d)",
+			optHitsAfter, optHitsAfterRead, optMissesBefore, optMissesAfter)
+	}
+	fmt.Fprintf(w, "smoke: first query of optimized %s hit the analysis cache (hits %d -> %d)\n",
+		opt.Program.ID, optHitsAfter, optHitsAfterRead)
 
 	// Repeat the first query and verify the analysis cache served it.
 	hitsBefore, err := c.counter("serve/analysis_cache_hits")
