@@ -63,7 +63,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRoundTripPseudoInstructions(t *testing.T) {
+// pseudoProgram exercises the pseudo-op encoding (use/def/kill sets).
+func pseudoProgram() *prog.Program {
 	p := prog.New()
 	p.Add(prog.NewRoutine("f",
 		isa.Entry(regset.Of(regset.A0, regset.F3)),
@@ -71,7 +72,11 @@ func TestRoundTripPseudoInstructions(t *testing.T) {
 		isa.Exit(regset.Of(regset.V0)),
 		isa.Ret(),
 	))
-	data, err := Encode(p)
+	return p
+}
+
+func TestRoundTripPseudoInstructions(t *testing.T) {
+	data, err := Encode(pseudoProgram())
 	if err != nil {
 		t.Fatal(err)
 	}
