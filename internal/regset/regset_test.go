@@ -40,6 +40,18 @@ func TestRegStringRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRegStringNames(t *testing.T) {
+	for r, want := range map[Reg]string{
+		V0: "v0", T7: "t7", S5: "s5", FP: "fp", A0: "a0", T8: "t8", T11: "t11",
+		RA: "ra", PV: "pv", AT: "at", GP: "gp", SP: "sp", Zero: "zero",
+		F0: "f0", F30: "f30", FZero: "fzero", 64: "r?64", 255: "r?255",
+	} {
+		if got := r.String(); got != want {
+			t.Errorf("Reg(%d).String() = %q, want %q", uint8(r), got, want)
+		}
+	}
+}
+
 func TestParseRegRawSpellings(t *testing.T) {
 	cases := map[string]Reg{
 		"r0": R0, "r15": R15, "r26": R26, "r31": Zero,
@@ -171,6 +183,9 @@ func TestSetStringRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %v via %q gave %v", s, text, back)
 		}
 	}
+	if got, want := Of(V0, T10, SP, FZero).String(), "{v0, t10, sp, fzero}"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
 	if got, err := ParseSet("∅"); err != nil || got != Empty {
 		t.Errorf("ParseSet(∅) = %v, %v", got, err)
 	}
@@ -248,6 +263,21 @@ func BenchmarkSetOps(b *testing.B) {
 	var sink Set
 	for i := 0; i < b.N; i++ {
 		sink = x.Union(y).Minus(Of(R5)).Intersect(All)
+	}
+	_ = sink
+}
+
+// BenchmarkSetString renders the sets a summary document carries: an
+// empty set, a call's argument and return registers, a kill set of
+// every caller-saved register, and the full set.
+func BenchmarkSetString(b *testing.B) {
+	sets := []Set{Empty, Of(A0, A1, V0), Range(T0, T7).Union(Range(A0, T11)).Union(Of(V0, RA, PV, AT)), All}
+	b.ReportAllocs()
+	var sink string
+	for i := 0; i < b.N; i++ {
+		for _, s := range sets {
+			sink = s.String()
+		}
 	}
 	_ = sink
 }
