@@ -109,7 +109,7 @@ obs-guard:
 # dynamic oracle — over CHECK_SOAK_N generated programs. `make soak` is
 # the acceptance bar (≥10k programs, zero violations); soak-ci is the
 # bounded variant CI runs on every push, with a short fuzz pass over
-# both targets riding along.
+# each fuzz target riding along.
 soak:
 	CHECK_SOAK_N=10000 $(GO) test ./internal/check/ -run TestGeneratedProgramsClean -count=1 -timeout 60m -v
 
@@ -122,6 +122,7 @@ soak-ci:
 	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzSavedRestored -fuzztime 30s -count=1
 	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzLabeling -fuzztime 30s -count=1
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshot -fuzztime 30s -count=1
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzIndentCompact -fuzztime 30s -count=1
 
 # Incremental re-analysis soak: the incremental oracle alone, over
 # CHECK_INCR_N (program, mutation) pairs — every Reanalyze result is

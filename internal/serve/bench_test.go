@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/obs"
+	"repro/internal/prog"
 	"repro/internal/progen"
 	"repro/internal/sxe"
 )
@@ -161,4 +164,74 @@ func BenchmarkServeBatch(b *testing.B) {
 		}
 	}
 	driveRequests(b, c, "/v1/batch", req)
+}
+
+// routineAsm returns routine ri's body as patch text: its lines of the
+// program's disassembly, without the .routine header.
+func routineAsm(p *prog.Program, ri int) string {
+	shell := &prog.Program{Routines: make([]*prog.Routine, len(p.Routines))}
+	for i, r := range p.Routines {
+		shell.Routines[i] = &prog.Routine{Name: r.Name}
+	}
+	shell.Routines[ri] = p.Routines[ri]
+	text := prog.Disassemble(shell)
+	head := ".routine " + p.Routines[ri].Name + "\n"
+	body := text[strings.Index(text, head)+len(head):]
+	if j := strings.Index(body, "\n.routine "); j >= 0 {
+		body = body[:j+1]
+	}
+	return body
+}
+
+// BenchmarkPatchRoute is the daemon's write path through
+// Server.Handler(), without a network: every iteration applies the same
+// single-routine body edit to a loaded vc@0.1 program (about 50k
+// instructions), so each one re-analyzes from the cached base analysis,
+// encodes and hashes the patched program, renders its document and
+// writes the indented response.
+func BenchmarkPatchRoute(b *testing.B) {
+	prof, _ := progen.ProfileByName("vc")
+	p := progen.Generate(prof.Scale(0.1), progen.DefaultOptions(1))
+	image, err := sxe.Encode(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	post := func(route string, req any) []byte {
+		payload, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(payload)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", route, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	var load api.LoadResponse
+	if err := json.Unmarshal(post("/v1/programs", api.LoadRequest{SXE: image}), &load); err != nil {
+		b.Fatal(err)
+	}
+	edited, _ := progen.MutateKind(p, 1, progen.MutBodyEdit)
+	ri := 0
+	for edited.Routines[ri] == p.Routines[ri] {
+		ri++
+	}
+	req := api.PatchRequest{Program: load.Program.ID,
+		Routines: []api.RoutinePatch{{Routine: p.Routines[ri].Name, Asm: routineAsm(edited, ri)}}}
+	post("/v1/patch", req) // computes the base analysis the patches start from
+	payload, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/patch", bytes.NewReader(payload)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("patch: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
 }

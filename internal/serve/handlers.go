@@ -12,7 +12,7 @@ import (
 func (s *Server) handleLoad(r *http.Request) (int, any) {
 	var req api.LoadRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	lp, err := s.load(&req)
 	if err != nil {
@@ -46,7 +46,7 @@ func (s *Server) query(ctx context.Context, program string, o api.Options) (*loa
 func (s *Server) handleSummary(r *http.Request) (int, any) {
 	var req api.SummaryRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	lp, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {
@@ -66,7 +66,7 @@ func (s *Server) handleSummary(r *http.Request) (int, any) {
 func (s *Server) handleLiveness(r *http.Request) (int, any) {
 	var req api.LivenessRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	lp, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {
@@ -90,7 +90,7 @@ func (s *Server) handleLiveness(r *http.Request) (int, any) {
 func (s *Server) handleCallSite(r *http.Request) (int, any) {
 	var req api.CallSiteRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	lp, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {
@@ -114,7 +114,7 @@ func (s *Server) handleCallSite(r *http.Request) (int, any) {
 func (s *Server) handleCallGraph(r *http.Request) (int, any) {
 	var req api.CallGraphRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	lp, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {
@@ -132,7 +132,7 @@ func (s *Server) handleCallGraph(r *http.Request) (int, any) {
 func (s *Server) handleAnalyze(r *http.Request) (int, any) {
 	var req api.AnalyzeRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	_, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {
@@ -147,7 +147,7 @@ func (s *Server) handleAnalyze(r *http.Request) (int, any) {
 func (s *Server) handleBatch(r *http.Request) (int, any) {
 	var req api.BatchRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errResp(http.StatusBadRequest, "decode: %v", err)
+		return decodeError(api.SchemaVersion, err)
 	}
 	lp, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {

@@ -41,7 +41,7 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 	const schema = api.SchemaVersionV2
 	var req api.PatchRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errRespV(schema, http.StatusBadRequest, "decode: %v", err)
+		return decodeError(schema, err)
 	}
 	if len(req.Routines) == 0 {
 		return errRespV(schema, http.StatusBadRequest, "patch: no routine bodies to replace")
@@ -140,7 +140,7 @@ func (s *Server) handleOptimize(r *http.Request) (int, any) {
 	const schema = api.SchemaVersionV2
 	var req api.OptimizeRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errRespV(schema, http.StatusBadRequest, "decode: %v", err)
+		return decodeError(schema, err)
 	}
 	lp, err := s.program(req.Program)
 	if err != nil {
@@ -220,7 +220,7 @@ func (s *Server) handleSnapshot(r *http.Request) (int, any) {
 	const schema = api.SchemaVersionV2
 	var req api.SnapshotRequest
 	if err := decodeBody(r, &req); err != nil {
-		return errRespV(schema, http.StatusBadRequest, "decode: %v", err)
+		return decodeError(schema, err)
 	}
 	switch req.Action {
 	case "save":

@@ -291,8 +291,12 @@ func (s *Server) writeJSON(w http.ResponseWriter, route string, status int, v an
 		w.Write(raw.data)
 		return
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	data, err := json.Marshal(v)
+	if err == nil {
+		// Byte-identical to json.MarshalIndent(v, "", "  ") without its
+		// scanner-driven indent pass; the spare byte takes the newline.
+		data = appendIndent(make([]byte, 0, 2*len(data)+1), data)
+	} else {
 		// An unencodable document is a server bug: count it, log the
 		// first occurrence per route (every occurrence after the first
 		// is the same bug), and degrade to a well-formed error reply.
@@ -329,6 +333,17 @@ func errRespV(schema string, status int, format string, args ...any) (int, any) 
 func decodeBody(r *http.Request, v any) error {
 	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
 	return json.NewDecoder(body).Decode(v)
+}
+
+// decodeError is the reply, stamped with the route's schema, to a body
+// decodeBody rejected: 413 when it exceeds maxBodyBytes, 400 otherwise.
+func decodeError(schema string, err error) (int, any) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	return errRespV(schema, status, "decode: %v", err)
 }
 
 // load resolves a LoadRequest into a registered program. The identity

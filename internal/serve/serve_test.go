@@ -225,6 +225,51 @@ func TestEndpointsGolden(t *testing.T) {
 	}
 }
 
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBody413 streams a body one byte over maxBodyBytes to an
+// upload route of each schema, never holding it on the client side: the
+// reply is a 413 error document stamped with the route's schema.
+func TestOversizedBody413(t *testing.T) {
+	_, c := newTestClient(t, Config{})
+	for _, tc := range []struct {
+		route, prefix, schema string
+	}{
+		{"/v1/programs", `{"asm":"`, api.SchemaVersion},
+		{"/v1/patch", `{"program":"sha256:0","routines":[{"routine":"main","asm":"`, api.SchemaVersionV2},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.prefix),
+			io.LimitReader(repeatByte(' '), maxBodyBytes+1-int64(len(tc.prefix))))
+		r, err := c.hc.Post(c.base+tc.route, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %s", tc.route, r.StatusCode, data)
+		}
+		var er api.ErrorResponse
+		if err := json.Unmarshal(data, &er); err != nil {
+			t.Fatalf("%s: error body is not JSON: %v\n%s", tc.route, err, data)
+		}
+		if er.SchemaVersion != tc.schema || !strings.Contains(er.Error, "too large") {
+			t.Errorf("%s: error reply %+v, want schema %s and a too-large error", tc.route, er, tc.schema)
+		}
+	}
+}
+
 // TestLoadIdentity pins the content-hash identity: the same program
 // loaded as assembly text, raw SXE upload and filesystem path lands on
 // the same program ID, so all three share cached analyses.
