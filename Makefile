@@ -28,8 +28,12 @@ fmt:
 build:
 	$(GO) build ./...
 
+# perfbench is a module of its own that ./... never builds; vetting it
+# here makes a core API change that breaks the benchmark fail the gate
+# rather than the benchmark run.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -105,8 +109,9 @@ obs-guard:
 		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestAnalyzeRequestSpans' -v
 
 # Correctness soak: the internal/check harness — differential runner
-# across the option matrix, PSG invariant checker, emulator-backed
-# dynamic oracle — over CHECK_SOAK_N generated programs. `make soak` is
+# across the option matrix, PSG invariant checker, Figure 6 labeling
+# reference, emulator-backed dynamic oracle — over CHECK_SOAK_N
+# generated programs. `make soak` is
 # the acceptance bar (≥10k programs, zero violations); soak-ci is the
 # bounded variant CI runs on every push, with a short fuzz pass over
 # each fuzz target riding along.

@@ -398,30 +398,6 @@ func BenchmarkOptimizeWarmStart(b *testing.B) {
 	}
 }
 
-// Ablation: the default shared-forward edge labeling versus the paper's
-// literal per-edge Figure 6 procedure (identical results, different
-// cost — the design choice DESIGN.md calls out).
-func BenchmarkAblationEdgeLabeling(b *testing.B) {
-	p := generate(b, "vortex") // the edge-heaviest profile
-	forward := core.PaperConfig()
-	perEdge := core.PaperConfig()
-	perEdge.PerEdgeLabeling = true
-	b.Run("forward-shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Analyze(p, core.WithConfig(forward)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("per-edge-fig6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Analyze(p, core.WithConfig(perEdge)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAnalyzeParallel compares the analysis pipeline at
 // parallelism 1 against GOMAXPROCS on the large progen workload and
 // reports the wall-clock speedup of the parallel per-routine stages

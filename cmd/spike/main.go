@@ -8,7 +8,8 @@
 //	spike check   [flags] input   run the correctness harness on the
 //	                              input: differential analysis across
 //	                              the option matrix, PSG invariant
-//	                              checks, the emulator-backed oracle
+//	                              checks, the Figure 6 labeling
+//	                              reference, the emulator-backed oracle
 //	spike snapshot <save|load> input snap
 //	                              persist a converged analysis as a
 //	                              binary snapshot image, or restore one
@@ -410,8 +411,8 @@ func run(w io.Writer, input string, o spikeOptions) error {
 
 // selfcheck runs the input through the internal/check harness: the
 // differential runner over the full option matrix, the PSG invariant
-// checker on both world anchors, and the emulator-backed dynamic
-// oracle. Any violation makes the run fail.
+// checker on both world anchors, the Figure 6 labeling reference, and
+// the emulator-backed dynamic oracle. Any violation makes the run fail.
 func selfcheck(w io.Writer, p *prog.Program, maxSteps int64) error {
 	vs := check.Program(p, &check.Options{MaxSteps: maxSteps})
 	for _, v := range vs {
@@ -420,7 +421,7 @@ func selfcheck(w io.Writer, p *prog.Program, maxSteps int64) error {
 	if len(vs) > 0 {
 		return fmt.Errorf("selfcheck: %d violation(s)", len(vs))
 	}
-	fmt.Fprintln(w, "selfcheck: differential, invariant and dynamic oracles clean")
+	fmt.Fprintln(w, "selfcheck: differential, invariant, labeling and dynamic oracles clean")
 	return nil
 }
 

@@ -1,4 +1,4 @@
-// Package check is the analysis's correctness harness: three
+// Package check is the analysis's correctness harness: four
 // independent oracles that cross-examine core.Analyze from different
 // directions, none of which shares code with the solver it checks.
 //
@@ -17,18 +17,16 @@
 //
 //   - The differential runner (differential.go) runs the analysis
 //     across the full option matrix (open/closed world × branch nodes ×
-//     per-edge labeling × dense/sparse labeler × parallelism 1/2/8),
-//     requires byte-identical summaries within each world, and bounds
-//     the result against the context-insensitive supergraph baseline,
-//     which by construction includes every path the PSG analysis
-//     reasons about.
+//     parallelism 1/2/8), requires byte-identical summaries within each
+//     world, and bounds the result against the context-insensitive
+//     supergraph baseline, which by construction includes every path
+//     the PSG analysis reasons about.
 //
-//   - The labeling oracle (labeling.go) pits the default sparse
-//     def-use chain labeler against the dense Figure 6 solver kept
-//     behind WithDenseLabeling: the two share no propagation code, so
-//     identical PSGs — every node, every edge label set, every shared
-//     stable metric — are two independent derivations of one fixed
-//     point.
+//   - The labeling oracle (labeling.go) re-derives every flow-summary
+//     edge with the paper's literal Figure 6 procedure — one CFG
+//     subgraph dataflow per edge — and requires core's sparse def-use
+//     chain labeler to have produced exactly those edges, in order,
+//     with exactly those labels.
 //
 // The oracles report Violations rather than failing a *testing.T, so
 // the same harness backs the package's tests, the fuzz targets, the
@@ -84,7 +82,7 @@ func (o *Options) parallelism() []int {
 	return []int{1, 2, 8}
 }
 
-// Program runs all three oracles over one program and returns every
+// Program runs all four oracles over one program and returns every
 // violation found. The program must pass prog.Validate; invalid
 // programs are reported as a single "analyze" violation rather than an
 // oracle result.
@@ -104,8 +102,8 @@ func Program(p *prog.Program, opts *Options) []Violation {
 	}
 
 	// The labeling oracle digs below the summaries the matrix compares:
-	// per-edge and per-node label sets plus the shared stable metrics
-	// must be identical between the sparse and dense labelers.
+	// every flow-summary edge and its three label sets, re-derived with
+	// the literal Figure 6 procedure, branch nodes on and off.
 	vs = append(vs, Labeling(p)...)
 
 	// The dynamic oracle checks each world's summaries against the same

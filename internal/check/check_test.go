@@ -26,8 +26,9 @@ func soakN(t *testing.T) int {
 }
 
 // TestGeneratedProgramsClean is the harness's main claim: across
-// generated programs, all three oracles — differential matrix,
-// structural invariants, dynamic execution — find nothing. `make soak`
+// generated programs, all four oracles — differential matrix,
+// structural invariants, Figure 6 labeling, dynamic execution — find
+// nothing. `make soak`
 // runs it over ≥10k programs via CHECK_SOAK_N.
 func TestGeneratedProgramsClean(t *testing.T) {
 	n := soakN(t)

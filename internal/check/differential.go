@@ -21,8 +21,6 @@ type diffResult struct {
 type diffConfig struct {
 	open        bool
 	branchNodes bool
-	perEdge     bool
-	dense       bool
 	parallelism int
 }
 
@@ -31,15 +29,12 @@ func (d diffConfig) String() string {
 	if d.open {
 		world = "open"
 	}
-	return fmt.Sprintf("%s/branch=%v/peredge=%v/dense=%v/par=%d",
-		world, d.branchNodes, d.perEdge, d.dense, d.parallelism)
+	return fmt.Sprintf("%s/branch=%v/par=%d", world, d.branchNodes, d.parallelism)
 }
 
 func (d diffConfig) options() []core.Option {
 	opts := []core.Option{
 		core.WithBranchNodes(d.branchNodes),
-		core.WithPerEdgeLabeling(d.perEdge),
-		core.WithDenseLabeling(d.dense),
 		core.WithParallelism(d.parallelism),
 	}
 	if d.open {
@@ -51,13 +46,11 @@ func (d diffConfig) options() []core.Option {
 }
 
 // differential runs the analysis across the full option matrix — world
-// × branch nodes × per-edge labeling × dense/sparse labeler ×
-// parallelism — and checks three relations:
+// × branch nodes × parallelism — and checks three relations:
 //
 //   - within one world, every configuration publishes identical
-//     summaries: branch nodes, per-edge labeling, the labeling solver
-//     and the worker count are representation and scheduling choices,
-//     not semantics ("config-determinism");
+//     summaries: branch nodes and the worker count are representation
+//     and scheduling choices, not semantics ("config-determinism");
 //   - each world's liveness is bounded by the context-insensitive
 //     supergraph baseline, which by construction merges every calling
 //     context the PSG analysis distinguishes ("baseline-subset");
@@ -73,33 +66,23 @@ func differential(p *prog.Program, parallelisms []int) diffResult {
 		var anchor *core.Analysis
 		var anchorCfg diffConfig
 		for _, branch := range []bool{true, false} {
-			for _, perEdge := range []bool{false, true} {
-				// Per-edge labeling already runs on the dense solver, so
-				// the dense toggle only adds a distinct cell without it.
-				denses := []bool{false, true}
-				if perEdge {
-					denses = []bool{false}
-				}
-				for _, dense := range denses {
-					for _, par := range parallelisms {
-						cfg := diffConfig{open: open, branchNodes: branch, perEdge: perEdge, dense: dense, parallelism: par}
-						a, err := core.Analyze(p, cfg.options()...)
-						if err != nil {
-							if !open && branch && !perEdge && !dense && par == parallelisms[0] {
-								// First cell: the program itself is rejected.
-								c.vs = append(c.vs, Violation{Oracle: "analyze", Rule: "rejected", Detail: err.Error()})
-								return diffResult{violations: c.vs}
-							}
-							c.addf("config-determinism", "", "%s failed (%v) where the first configuration succeeded", cfg, err)
-							continue
-						}
-						if anchor == nil {
-							anchor, anchorCfg = a, cfg
-							continue
-						}
-						compareSummaries(c, anchorCfg, anchor, cfg, a)
+			for _, par := range parallelisms {
+				cfg := diffConfig{open: open, branchNodes: branch, parallelism: par}
+				a, err := core.Analyze(p, cfg.options()...)
+				if err != nil {
+					if !open && branch && par == parallelisms[0] {
+						// First cell: the program itself is rejected.
+						c.vs = append(c.vs, Violation{Oracle: "analyze", Rule: "rejected", Detail: err.Error()})
+						return diffResult{violations: c.vs}
 					}
+					c.addf("config-determinism", "", "%s failed (%v) where the first configuration succeeded", cfg, err)
+					continue
 				}
+				if anchor == nil {
+					anchor, anchorCfg = a, cfg
+					continue
+				}
+				compareSummaries(c, anchorCfg, anchor, cfg, a)
 			}
 		}
 		if anchor == nil {

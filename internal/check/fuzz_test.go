@@ -15,7 +15,7 @@ var fuzzOptions = &Options{MaxSteps: 50_000, Parallelism: []int{1, 2}}
 
 // FuzzAnalyze feeds assembler source through the whole harness: any
 // program the assembler accepts must either be rejected by the
-// analysis's own validation or survive all three oracles. The corpus
+// analysis's own validation or survive all four oracles. The corpus
 // under testdata/fuzz/FuzzAnalyze seeds the degenerate shapes that used
 // to crash (empty programs, entrances at the last instruction) and the
 // saved/restored edge cases.

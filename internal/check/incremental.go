@@ -15,19 +15,23 @@ import (
 // land on byte-for-byte the state a from-scratch analysis computes —
 // same summaries, same structural counts, same converged per-node and
 // per-edge sets. It runs the comparison across the full option matrix
-// (world × branch nodes × per-edge labeling × parallelism), because the
-// incremental path has its own scheduling and must be deterministic
-// under all of them. Each cell also drives the edit backwards through
-// the consuming core.ReanalyzeInPlace and requires it to reproduce the
-// base analysis byte-for-byte.
+// (world × branch nodes × parallelism), because the incremental path
+// has its own scheduling and must be deterministic under all of them.
+// Each cell also drives the edit backwards through the consuming
+// core.ReanalyzeInPlace and requires it to reproduce the base analysis
+// byte-for-byte.
 //
-// The cells of the first parallelism add two legs. One applies the
+// The cells of the first parallelism add three legs. One applies the
 // forward edit in place to an analysis restored from prev's saved
 // state, the warm start the daemon's snapshot path hands out. The
-// other re-checks prev against a fresh analysis after the reverse leg:
-// the copying result shares its layout-derived arrays with prev, so a
-// consuming write into one of them would change prev and the reverse
-// result alike, which their mutual comparison cannot see.
+// second re-checks prev against a fresh analysis after the reverse
+// leg: the copying result shares its layout-derived arrays with prev,
+// so a consuming write into one of them would change prev and the
+// reverse result alike, which their mutual comparison cannot see. The
+// third re-analyzes the forward edit from prev once more and compares
+// it with the scratch result: that run reads prev's shared adjacency,
+// return-site links and schedule, which the second leg's comparison of
+// converged sets does not.
 
 // IncrementalPair checks one (base, mutant) program pair across the
 // option matrix. desc labels the edit in violation details.
@@ -38,11 +42,9 @@ func IncrementalPair(base, mutant *prog.Program, desc string, parallelisms []int
 	}
 	for _, open := range []bool{false, true} {
 		for _, branch := range []bool{true, false} {
-			for _, perEdge := range []bool{false, true} {
-				for i, par := range parallelisms {
-					cfg := diffConfig{open: open, branchNodes: branch, perEdge: perEdge, parallelism: par}
-					checkIncrementalCell(c, cfg, base, mutant, desc, i == 0)
-				}
+			for i, par := range parallelisms {
+				cfg := diffConfig{open: open, branchNodes: branch, parallelism: par}
+				checkIncrementalCell(c, cfg, base, mutant, desc, i == 0)
 			}
 		}
 	}
@@ -92,6 +94,12 @@ func checkIncrementalCell(c *collector, cfg diffConfig, base, mutant *prog.Progr
 			return
 		}
 		compareAnalyses(c, cfg, desc+" (base after in-place reverse)", prev, fresh)
+		again, err := core.Reanalyze(prev, mutant, cfg.options()...)
+		if err != nil {
+			c.addf("incremental-rejected", "", "%s: %s: second Reanalyze from prev failed: %v", cfg, desc, err)
+			return
+		}
+		compareAnalyses(c, cfg, desc+" (again from prev)", again, scratch)
 	}
 }
 

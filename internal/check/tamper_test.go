@@ -37,7 +37,7 @@ const tamperSrc = `
 func TestOraclesCatchTampering(t *testing.T) {
 	cases := []struct {
 		name   string
-		oracle string // "invariants" or "dynamic"
+		oracle string // "invariants", "dynamic" or "labels"
 		rules  []string
 		tamper func(t *testing.T, a *core.Analysis, fi int)
 	}{
@@ -104,6 +104,43 @@ func TestOraclesCatchTampering(t *testing.T) {
 			},
 		},
 		{
+			name:   "flow edge label gains a register",
+			oracle: "labels",
+			rules:  []string{"label-edge-identical"},
+			tamper: func(t *testing.T, a *core.Analysis, fi int) {
+				for i := range a.PSG.Edges {
+					if e := &a.PSG.Edges[i]; e.Kind == core.EdgeFlow {
+						e.MayUse = e.MayUse.Add(regset.T11)
+						return
+					}
+				}
+				t.Fatal("no flow edge to corrupt")
+			},
+		},
+		{
+			name:   "flow edge retargeted at another sink",
+			oracle: "labels",
+			rules:  []string{"label-edge-set"},
+			tamper: func(t *testing.T, a *core.Analysis, fi int) {
+				g := a.PSG
+				for i := range g.Edges {
+					e := &g.Edges[i]
+					if e.Kind != core.EdgeFlow {
+						continue
+					}
+					for j := range g.Nodes {
+						n := &g.Nodes[j]
+						if j != e.Dst && n.Routine == g.Nodes[e.Src].Routine &&
+							(n.Kind == core.NodeCall || n.Kind == core.NodeExit) {
+							e.Dst = j
+							return
+						}
+					}
+				}
+				t.Fatal("no routine with two sinks")
+			},
+		},
+		{
 			name:   "dynamic read missing from call-used",
 			oracle: "dynamic",
 			rules:  []string{"dynamic-use-subset"},
@@ -157,25 +194,24 @@ func TestOraclesCatchTampering(t *testing.T) {
 				t.Fatal("routine f not found")
 			}
 
+			run := func() []Violation {
+				switch tc.oracle {
+				case "invariants":
+					return Invariants(a)
+				case "labels":
+					return Labels(a)
+				}
+				return Dynamic(a, 1_000_000)
+			}
+
 			// An untampered analysis must be clean, or the case would
 			// "catch" noise rather than the corruption.
-			var clean []Violation
-			if tc.oracle == "invariants" {
-				clean = Invariants(a)
-			} else {
-				clean = Dynamic(a, 1_000_000)
-			}
-			if len(clean) > 0 {
+			if clean := run(); len(clean) > 0 {
 				t.Fatalf("oracle not clean before tampering: %v", clean)
 			}
 
 			tc.tamper(t, a, fi)
-			var vs []Violation
-			if tc.oracle == "invariants" {
-				vs = Invariants(a)
-			} else {
-				vs = Dynamic(a, 1_000_000)
-			}
+			vs := run()
 			if !hasAnyRule(vs, tc.rules) {
 				t.Fatalf("tampering went uncaught: want one of %v, got %v", tc.rules, vs)
 			}

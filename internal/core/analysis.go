@@ -238,12 +238,11 @@ func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Anal
 	a := &Analysis{Prog: p, Config: conf}
 	a.Stats.Parallelism = workers
 
-	// Pool baselines: the worklist/label-scratch/def-use pools are
-	// process globals, so this run's hit/miss telemetry is the delta.
-	var wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0 uint64
+	// Pool baselines: the worklist and def-use pools are process
+	// globals, so this run's hit/miss telemetry is the delta.
+	var wlGets0, wlNews0, duGets0, duNews0 uint64
 	if conf.Metrics != nil {
 		wlGets0, wlNews0 = wlPool.Stats()
-		lbGets0, lbNews0 = labelPool.Stats()
 		duGets0, duNews0 = defusePool.Stats()
 	}
 	th := conf.Tracer.MainThread()
@@ -350,7 +349,7 @@ func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Anal
 	ssp.End()
 	rt.End(rsp)
 	asp.End()
-	a.publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0)
+	a.publishMetrics(wlGets0, wlNews0, duGets0, duNews0)
 	return a, nil
 }
 
@@ -358,7 +357,7 @@ func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Anal
 // deltas into the configured registry. The gauges are deterministic
 // (Store, not Add, so a re-analysis over the same registry overwrites
 // rather than double-counts); the pool deltas are unstable by nature.
-func (a *Analysis) publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0 uint64) {
+func (a *Analysis) publishMetrics(wlGets0, wlNews0, duGets0, duNews0 uint64) {
 	m := a.Config.Metrics
 	if m == nil {
 		return
@@ -372,12 +371,16 @@ func (a *Analysis) publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, d
 	m.Counter("sched/phase1_waves").Store(uint64(st.Phase1Waves))
 	m.Counter("sched/phase2_waves").Store(uint64(st.Phase2Waves))
 	wlGets, wlNews := wlPool.Stats()
-	lbGets, lbNews := labelPool.Stats()
 	duGets, duNews := defusePool.Stats()
 	m.UnstableCounter("pool/worklist_gets").Add(wlGets - wlGets0)
 	m.UnstableCounter("pool/worklist_misses").Add(wlNews - wlNews0)
-	m.UnstableCounter("pool/label_scratch_gets").Add(lbGets - lbGets0)
-	m.UnstableCounter("pool/label_scratch_misses").Add(lbNews - lbNews0)
+	// Retired with the dense labelers and their scratch pool, these
+	// read zero. They stay registered because the spike.v1/v2 metrics
+	// documents and their goldens name them; dropping them is a wire
+	// change.
+	m.Counter("label/dense_fallbacks")
+	m.UnstableCounter("pool/label_scratch_gets")
+	m.UnstableCounter("pool/label_scratch_misses")
 	m.UnstableCounter("pool/defuse_gets").Add(duGets - duGets0)
 	m.UnstableCounter("pool/defuse_misses").Add(duNews - duNews0)
 }

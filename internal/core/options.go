@@ -33,10 +33,10 @@ func WithConfig(conf Config) Option {
 
 // Key returns a canonical string naming the configuration fields that
 // determine analysis *results*: the world model (§3.5) and branch-node
-// placement (§3.6). PerEdgeLabeling, Parallelism and the observability
-// hooks change how the fixed point is computed, never what it is, so
-// they are excluded — two configurations with equal keys produce
-// byte-identical summaries on the same program.
+// placement (§3.6). Parallelism and the observability hooks change how
+// the fixed point is computed, never what it is, so they are excluded —
+// two configurations with equal keys produce byte-identical summaries
+// on the same program.
 //
 // The format matches api.Options.Key, so results cached or persisted
 // under one layer's key are addressable from the other.
@@ -75,25 +75,6 @@ func WithClosedWorld() Option {
 // WithBranchNodes toggles §3.6 branch nodes (default on).
 func WithBranchNodes(on bool) Option {
 	return func(c *Config) { c.BranchNodes = on }
-}
-
-// WithPerEdgeLabeling toggles the paper's literal Figure 6 per-edge
-// labeling procedure instead of the default shared forward formulation
-// (default off; results are identical either way).
-func WithPerEdgeLabeling(on bool) Option {
-	return func(c *Config) { c.PerEdgeLabeling = on }
-}
-
-// WithDenseLabeling toggles the dense per-CFG-block Figure 6 forward
-// solver instead of the default sparse def-use chain labeler (default
-// off; results are byte-identical either way). The dense solver is kept
-// as the in-tree oracle the differential checker (internal/check)
-// compares the sparse labeler against, and as an ablation benchmark.
-// Like PerEdgeLabeling it changes how the labels are computed, never
-// what they are, so it is excluded from Config.Key — analyses and PSS1
-// snapshots produced under either labeler interoperate freely.
-func WithDenseLabeling(on bool) Option {
-	return func(c *Config) { c.DenseLabeling = on }
 }
 
 // WithParallelism bounds the worker pool the per-routine stages (CFG

@@ -114,14 +114,13 @@ func TestPhaseSchedulingDeterminism(t *testing.T) {
 
 // TestParallelEquivalenceAcrossConfigs repeats the worker-count
 // equivalence check under the other configuration axes: open world and
-// per-edge labeling.
+// branch nodes off.
 func TestParallelEquivalenceAcrossConfigs(t *testing.T) {
 	variants := []struct {
 		name string
 		opts []Option
 	}{
 		{"open-world", []Option{WithOpenWorld()}},
-		{"per-edge", []Option{WithPerEdgeLabeling(true)}},
 		{"no-branch-nodes", []Option{WithBranchNodes(false)}},
 	}
 	p := progen.Generate(progen.TestProfile(30), progen.DefaultOptions(7))

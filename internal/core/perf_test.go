@@ -108,37 +108,24 @@ func BenchmarkLabeling(b *testing.B) {
 	p := perfProgram()
 	graphs := cfg.BuildAll(p)
 	cfg.ComputeDefUBDAll(graphs, 1)
-	// "forward" is the default configuration and kept under its
-	// historical name so the bench-json trajectory stays comparable:
-	// since the sparse labeler became the default it is an alias of
-	// "sparse". "dense" is the retained WithDenseLabeling oracle (the
-	// pre-sparse forward solver), "per-edge" the literal Figure 6
-	// ablation.
-	for _, variant := range []struct {
-		name    string
-		dense   bool
-		perEdge bool
-	}{{"forward", false, false}, {"sparse", false, false}, {"dense", true, false}, {"per-edge", false, true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			conf := DefaultConfig()
-			conf.Parallelism = 1
-			conf.DenseLabeling = variant.dense
-			conf.PerEdgeLabeling = variant.perEdge
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buildPSG(p, graphs, conf)
-			}
-			// Publish the labeling shape counters with the record
-			// (units ending "/run"): one untimed instrumented build.
-			b.StopTimer()
-			conf.Metrics = obs.NewMetrics()
+	// One sub-benchmark, under the name bench-json records carry
+	// (cmd/benchdelta maps the older "forward" rows onto it).
+	b.Run("sparse", func(b *testing.B) {
+		conf := DefaultConfig()
+		conf.Parallelism = 1
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			buildPSG(p, graphs, conf)
-			obs.ReportCounters(b, conf.Metrics,
-				"label/flow_edges", "label/defuse_links", "label/chain_steps",
-				"label/dense_fallbacks")
-		})
-	}
+		}
+		// Publish the labeling shape counters with the record
+		// (units ending "/run"): one untimed instrumented build.
+		b.StopTimer()
+		conf.Metrics = obs.NewMetrics()
+		buildPSG(p, graphs, conf)
+		obs.ReportCounters(b, conf.Metrics,
+			"label/flow_edges", "label/defuse_links", "label/chain_steps")
+	})
 }
 
 // BenchmarkDefUseBuild isolates the sparse labeler's chain-slab
@@ -154,7 +141,7 @@ func BenchmarkDefUseBuild(b *testing.B) {
 	g, _ := buildPSG(p, graphs, conf)
 	rns := make([]routineNodes, len(graphs))
 	for ri, graph := range graphs {
-		rn := newRoutineNodes(len(graph.Blocks))
+		rn := new(defUse).routineNodes(len(graph.Blocks))
 		for i := g.nodeStart[ri]; i < g.nodeStart[ri+1]; i++ {
 			n := &g.Nodes[i]
 			switch n.Kind {
@@ -177,30 +164,6 @@ func BenchmarkDefUseBuild(b *testing.B) {
 		for ri, graph := range graphs {
 			arena.take().build(graph, rns[ri])
 		}
-	}
-}
-
-// TestSparseLabelingAllocParity pins the sparse labeler's allocation
-// behaviour to the dense oracle's: steady-state buildPSG under the
-// default (sparse) configuration must not allocate more than under
-// WithDenseLabeling — the chain slabs are pooled exactly like the dense
-// solver's scratch, so sparseness may not cost heap traffic.
-func TestSparseLabelingAllocParity(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector inflates allocation counts")
-	}
-	p := perfProgram()
-	graphs := cfg.BuildAll(p)
-	cfg.ComputeDefUBDAll(graphs, 1)
-	sparseConf := DefaultConfig()
-	sparseConf.Parallelism = 1
-	denseConf := sparseConf
-	denseConf.DenseLabeling = true
-	sparse := testing.AllocsPerRun(5, func() { buildPSG(p, graphs, sparseConf) })
-	dense := testing.AllocsPerRun(5, func() { buildPSG(p, graphs, denseConf) })
-	t.Logf("buildPSG allocs/run: sparse %.0f, dense %.0f", sparse, dense)
-	if sparse > dense {
-		t.Errorf("sparse labeling allocates %.0f/run, dense %.0f/run — sparse must not exceed dense", sparse, dense)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/callstd"
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -278,23 +277,6 @@ type Config struct {
 	// reproduces that behaviour exactly.
 	LinkIndirectCalls bool
 
-	// PerEdgeLabeling uses the paper's literal Figure 6 procedure —
-	// one subgraph dataflow per flow-summary edge — instead of the
-	// default forward formulation that shares one region dataflow per
-	// source node. Results are identical; this exists as a fidelity
-	// check and an ablation benchmark.
-	PerEdgeLabeling bool
-
-	// DenseLabeling restores the dense per-CFG-block forward solver
-	// (labelForward) instead of the default sparse def-use chain
-	// labeler (defuse.go). Results are byte-identical; the dense
-	// solver is kept as an in-tree oracle for the differential checker
-	// and as an ablation benchmark. PerEdgeLabeling implies the dense
-	// representation (the literal Figure 6 procedure iterates CFG
-	// subgraphs), so this flag only matters when PerEdgeLabeling is
-	// off.
-	DenseLabeling bool
-
 	// Parallelism bounds the worker pool used by the per-routine
 	// stages (CFG construction, DEF/UBD initialization, flow-summary
 	// edge labeling). <= 0 selects runtime.GOMAXPROCS; 1 runs the
@@ -330,12 +312,6 @@ type Config struct {
 	ctx context.Context
 }
 
-// sparseLabeling reports whether this configuration labels flow-summary
-// edges on the sparse def-use chain representation (the default).
-func (c Config) sparseLabeling() bool {
-	return !c.DenseLabeling && !c.PerEdgeLabeling
-}
-
 // cancelCh returns the configuration's cancellation channel, nil when
 // the analysis is not cancellable (no context, or a context that can
 // never be cancelled): the solve loops poll a nil channel for free.
@@ -369,7 +345,8 @@ func PaperConfig() Config {
 
 // buildPSG creates the PSG nodes and intraprocedural flow-summary and
 // call-return edges for every routine (§3.1), labeling flow-summary edges
-// with the Figure 6 dataflow over CFG subgraphs.
+// with the Figure 6 dataflow over each routine's def-use chains
+// (defuse.go).
 //
 // Construction is split into a serial structural pass and a parallel
 // labeling pass. The structural pass walks routines in index order,
@@ -379,8 +356,8 @@ func PaperConfig() Config {
 // rather than O(nodes + edges). The CSR adjacency is then built in two
 // counting passes, and the labeling pass computes each routine's
 // flow-summary edge labels (the Figure 6 dataflow, the dominant cost of
-// PSG construction) on the worker pool with pooled per-worker scratch;
-// each worker writes only the Edge structs of its own routine, so the
+// PSG construction) on the worker pool over the routines' pooled chain
+// slabs; each worker writes only the Edge structs of its own routine, so the
 // result is byte-identical to a serial run. The returned duration is the
 // aggregate compute time across both passes (the stage's CPU time).
 func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Duration) {
@@ -452,21 +429,17 @@ func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Dur
 	}
 	serial := time.Now()
 	ssp := conf.Tracer.MainThread().Begin("psg structure")
-	scratch := psgScratchPool.Get().(*buildScratch)
+	var scratch buildScratch
 	tasks := make([]labelTask, len(p.Routines))
 	g.nodeStart = make([]int32, len(p.Routines)+1)
 	g.edgeStart = make([]int32, len(p.Routines)+1)
 	for ri := range p.Routines {
 		g.nodeStart[ri] = int32(len(g.Nodes))
 		g.edgeStart[ri] = int32(len(g.Edges))
-		g.buildRoutine(&tasks[ri], ri, conf, scratch)
+		g.buildRoutine(&tasks[ri], ri, conf, &scratch)
 	}
 	g.nodeStart[len(p.Routines)] = int32(len(g.Nodes))
 	g.edgeStart[len(p.Routines)] = int32(len(g.Edges))
-	// The defuse arena's ownership moved to the tasks; drop the
-	// reference before pooling the scratch.
-	scratch.defuse = nil
-	psgScratchPool.Put(scratch)
 	g.buildAdjacency()
 	ssp.Arg("nodes", int64(len(g.Nodes))).Arg("edges", int64(len(g.Edges))).End()
 	cpu := time.Since(serial)
@@ -474,13 +447,11 @@ func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Dur
 	flowEdges := conf.Metrics.Counter("label/flow_edges")
 	defuseLinks := conf.Metrics.Counter("label/defuse_links")
 	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
 	cpu += par.ForEachSpan(conf.Tracer, "label", len(tasks), workers, func(ri int) {
-		st := tasks[ri].label(g, conf)
+		st := tasks[ri].label(g)
 		flowEdges.Add(uint64(len(tasks[ri].refs)))
 		defuseLinks.Add(st.links)
 		chainSteps.Add(st.steps)
-		denseFallbacks.Add(st.dense)
 	})
 	releaseTasks(tasks)
 	cpu += g.computeSavedRestored(workers, conf.Tracer)
@@ -567,52 +538,40 @@ type flowEdgeRef struct {
 
 // labelTask carries one routine's discovered flow-summary edges from
 // the structural pass to the labeling pass. Labeling a task touches
-// only the task's own routine — its CFG, its node placement, and the
+// only the task's own routine — its CFG, its chain slab, and the
 // Edge slab entries its refs name — so tasks may run concurrently.
 // refs is one flat array windowed per source by refStart.
 type labelTask struct {
 	graph    *cfg.Graph
-	rn       routineNodes
 	sources  []int32 // source node IDs
 	refStart []int32 // len(sources)+1; refs of source i in [refStart[i], refStart[i+1])
 	refs     []flowEdgeRef
 
-	// du is the routine's def-use chain slab when the sparse labeler is
-	// selected (Config.sparseLabeling), built by the structural pass and
-	// consumed by label; arena owns it (one arena per structural pass,
-	// released by releaseTasks once every task is labeled). Both nil
-	// under WithDenseLabeling / per-edge labeling.
+	// du is the routine's def-use chain slab, built by the structural
+	// pass and consumed by label; arena owns it (one arena per
+	// structural pass, released by releaseTasks once every task is
+	// labeled).
 	du    *defUse
 	arena *defUseArena
 }
 
 // labelStats reports one task's labeling telemetry, aggregated into the
-// label/* counters by the callers' labeling loops. All three values are
+// label/* counters by the callers' labeling loops. Both values are
 // deterministic per routine (the chain slab and the priority worklist's
 // pop sequence don't depend on worker scheduling), so the counters stay
 // parallelism-invariant and are published as stable metrics.
 type labelStats struct {
 	links uint64 // def-use link arcs in the routine's chain CSR
 	steps uint64 // chain worklist pops across the routine's sources
-	dense uint64 // 1 when the routine was labeled by a dense solver
 }
 
-// label computes the Figure 6 labels of the task's flow-summary edges,
-// using pooled scratch so steady-state labeling allocates nothing.
-func (t *labelTask) label(g *PSG, conf Config) labelStats {
-	if t.du != nil {
-		st := t.labelSparse(g)
-		t.du = nil
-		return st
-	}
-	s := labelPool.Get().(*labelScratch)
-	if conf.PerEdgeLabeling {
-		t.labelPerEdge(g, s)
-	} else {
-		t.labelForward(g, s)
-	}
-	labelPool.Put(s)
-	return labelStats{dense: 1}
+// label computes the Figure 6 labels of the task's flow-summary edges
+// on the routine's pooled chain slab, so steady-state labeling
+// allocates nothing.
+func (t *labelTask) label(g *PSG) labelStats {
+	st := t.labelSparse(g)
+	t.du = nil
+	return st
 }
 
 // releaseTasks returns the tasks' chain-slab arena to its pool, after
@@ -645,62 +604,29 @@ type routineNodes struct {
 	sinkAt []int32
 }
 
-func newRoutineNodes(nBlocks int) routineNodes {
-	store := make([]int32, 3*nBlocks)
-	for i := range store {
-		store[i] = -1
-	}
-	return routineNodes{
-		returnAt: store[:nBlocks],
-		branchAt: store[nBlocks : 2*nBlocks],
-		sinkAt:   store[2*nBlocks:],
-	}
-}
-
 // buildScratch is reused across buildRoutine calls of the serial
-// structural pass: DFS visit marks and stack for reachability and
-// loop detection.
+// structural pass.
 type buildScratch struct {
-	seen     []bool
-	stack    []int32
 	startBuf [1]int
 	// defuse is the chain-slab arena of this structural pass, acquired
-	// lazily on the first sparse-labeled routine. Ownership passes to
-	// the built tasks (labelTask.arena); the labeling loop releases it.
+	// lazily on the first routine. Ownership passes to the built tasks
+	// (labelTask.arena); the labeling loop releases it.
 	defuse *defUseArena
-}
-
-// psgScratchPool recycles the structural pass's scratch across builds;
-// the defuse reference is cleared before Put (the arena is owned by the
-// labeling pass by then).
-var psgScratchPool = obs.NewPool(func() any { return new(buildScratch) })
-
-func (s *buildScratch) grow(n int) {
-	if cap(s.seen) < n {
-		s.seen = make([]bool, n)
-	}
-	s.seen = s.seen[:n]
 }
 
 func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScratch) {
 	graph := g.Graphs[ri]
-	// Under the sparse labeler the routine's chain slab is taken up
-	// front so the node-placement arrays and the discovery buffers live
-	// in it: slab k always serves the k-th routine of a structural pass,
-	// so the buffers converge to that routine's sizes and the steady
-	// state allocates nothing (see defUseArena).
-	var du *defUse
-	var rn routineNodes
-	if conf.sparseLabeling() {
-		if scratch.defuse == nil {
-			scratch.defuse = defusePool.Get().(*defUseArena)
-			scratch.defuse.reset()
-		}
-		du = scratch.defuse.take()
-		rn = du.routineNodes(len(graph.Blocks))
-	} else {
-		rn = newRoutineNodes(len(graph.Blocks))
+	// The routine's chain slab is taken up front so the node-placement
+	// arrays and the discovery buffers live in it: slab k always serves
+	// the k-th routine of a structural pass, so the buffers converge to
+	// that routine's sizes and the steady state allocates nothing (see
+	// defUseArena).
+	if scratch.defuse == nil {
+		scratch.defuse = defusePool.Get().(*defUseArena)
+		scratch.defuse.reset()
 	}
+	du := scratch.defuse.take()
+	rn := du.routineNodes(len(graph.Blocks))
 
 	// Entry nodes: one per entrance (§3.1).
 	for ei, blockID := range graph.EntryBlocks {
@@ -767,78 +693,9 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 		}
 	}
 
-	if du != nil {
-		du.build(graph, rn)
-		g.discoverFlowEdgesSparse(t, graph, rn, du, scratch)
-		t.arena = scratch.defuse
-		return
-	}
-	g.discoverFlowEdges(t, graph, rn, scratch)
-}
-
-// discoverFlowEdges creates this routine's flow-summary edges with
-// empty labels: for each source node (entries first, then return and
-// branch nodes by block ID) it finds the reachable sink blocks by a
-// plain DFS that does not cross interposing terminators — the same
-// reachability the labeling dataflows compute — and adds one edge per
-// sink, in ascending block order. The labels are filled in later by
-// labelTask.label, possibly on a worker pool.
-func (g *PSG) discoverFlowEdges(t *labelTask, graph *cfg.Graph, rn routineNodes, scratch *buildScratch) {
-	t.graph, t.rn = graph, rn
-	for _, id := range g.EntryNodes[graph.RoutineIndex] {
-		t.sources = append(t.sources, int32(id))
-	}
-	for blockID := range graph.Blocks {
-		if id := rn.returnAt[blockID]; id >= 0 {
-			t.sources = append(t.sources, id)
-		}
-		if id := rn.branchAt[blockID]; id >= 0 {
-			t.sources = append(t.sources, id)
-		}
-	}
-	scratch.grow(len(graph.Blocks))
-	reach := scratch.seen
-	t.refStart = make([]int32, len(t.sources)+1)
-	for si, srcID := range t.sources {
-		src := &g.Nodes[srcID]
-		for i := range reach {
-			reach[i] = false
-		}
-		stack := scratch.stack[:0]
-		for _, s := range sourceStartBlocks(graph, src, &scratch.startBuf) {
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, int32(s))
-			}
-		}
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			b := graph.Blocks[id]
-			if rn.isStop(b) {
-				continue
-			}
-			for _, s := range b.Succs {
-				if !reach[s] {
-					reach[s] = true
-					stack = append(stack, int32(s))
-				}
-			}
-		}
-		scratch.stack = stack
-		for blockID, ok := range reach {
-			if !ok {
-				continue
-			}
-			sinkID := rn.sinkAt[blockID]
-			if sinkID < 0 {
-				continue
-			}
-			eid := g.addEdge(EdgeFlow, src.ID, int(sinkID))
-			t.refs = append(t.refs, flowEdgeRef{sink: int32(blockID), edge: int32(eid)})
-		}
-		t.refStart[si+1] = int32(len(t.refs))
-	}
+	du.build(graph, rn)
+	g.discoverFlowEdgesSparse(t, graph, rn, du, scratch)
+	t.arena = scratch.defuse
 }
 
 // sourceStartBlocks returns the CFG blocks at which paths from node n
@@ -851,216 +708,6 @@ func sourceStartBlocks(graph *cfg.Graph, n *Node, buf *[1]int) []int {
 	}
 	buf[0] = n.Block
 	return buf[:]
-}
-
-// isStop reports whether paths may not continue through block b's
-// terminator: the terminator is itself represented by a PSG node (call,
-// branch node) or ends the routine (exit, unknown jump). A multiway
-// block interposes only when a branch node was actually placed on it.
-func (rn *routineNodes) isStop(b *cfg.Block) bool {
-	switch b.Term {
-	case cfg.TermCall, cfg.TermExit, cfg.TermUnknownJump:
-		return true
-	case cfg.TermMultiway:
-		return rn.branchAt[b.ID] >= 0
-	}
-	return false
-}
-
-// labelForward labels the discovered flow-summary edges of one
-// routine. For each source node it runs a forward dataflow over the
-// region reachable without crossing another PSG location; the state at
-// each reachable sink block (after the block's instructions) is exactly
-// the Figure 6 label of the edge source → sink.
-//
-// Forward transfer through block B with incoming state (MAY-USE,
-// MAY-DEF, MUST-DEF):
-//
-//	MAY-USE'  = MAY-USE  ∪ (UBD[B] − MUST-DEF)
-//	MAY-DEF'  = MAY-DEF  ∪ DEF[B]
-//	MUST-DEF' = MUST-DEF ∪ DEF[B]
-//
-// with merges ∪/∪/∩ at joins — the mirror image of the backward
-// equations in Figure 6, computed once per source instead of once per
-// edge.
-//
-// The worklist is priority-ordered by the CFG's reverse postorder, so
-// each sweep visits blocks in near-topological order and loop bodies
-// converge with far fewer recomputations than FIFO order.
-type flowState struct {
-	mayUse  regset.Set
-	mayDef  regset.Set
-	mustDef regset.Set
-	valid   bool // distinguishes "unreached" from the empty state
-}
-
-func (s *flowState) merge(t flowState) bool {
-	if !t.valid {
-		return false
-	}
-	if !s.valid {
-		*s = t
-		return true
-	}
-	mu := s.mayUse.Union(t.mayUse)
-	md := s.mayDef.Union(t.mayDef)
-	msd := s.mustDef.Intersect(t.mustDef)
-	changed := mu != s.mayUse || md != s.mayDef || msd != s.mustDef
-	s.mayUse, s.mayDef, s.mustDef = mu, md, msd
-	return changed
-}
-
-// labelScratch is the pooled per-worker scratch of the labeling pass:
-// the region dataflow states, the priority worklist, the CFG
-// reverse-postorder numbering and the DFS bookkeeping to compute it.
-// One instance serves every routine a worker labels; all slices grow
-// monotonically and are reused.
-type labelScratch struct {
-	in, out  []flowState
-	wl       dataflow.Worklist
-	prio     []int32
-	seen     []bool
-	stack    []int32
-	iter     []int32
-	startBuf [1]int
-	// per-edge labeling (Figure 6 verbatim) scratch
-	fwd, bwd []bool
-	sets     []edgeSets
-}
-
-// labelPool is instrumented (obs.Pool) so Analyze can report labeling
-// scratch reuse; hit rates are inherently unstable across runs.
-var labelPool = obs.NewPool(func() any { return new(labelScratch) })
-
-func (s *labelScratch) growBlocks(n int) {
-	if cap(s.in) < n {
-		s.in = make([]flowState, n)
-		s.out = make([]flowState, n)
-		s.prio = make([]int32, n)
-		s.seen = make([]bool, n)
-		s.iter = make([]int32, n)
-	}
-	s.in = s.in[:n]
-	s.out = s.out[:n]
-	s.prio = s.prio[:n]
-	s.seen = s.seen[:n]
-	s.iter = s.iter[:n]
-}
-
-// computeRPO fills s.prio with a reverse-postorder numbering of the
-// graph's blocks: a DFS from each entry block over successor arcs,
-// reversed. Blocks unreachable from the entries are numbered after the
-// reachable ones, in ascending block order, so the numbering is total.
-func (s *labelScratch) computeRPO(graph *cfg.Graph) {
-	n := len(graph.Blocks)
-	for i := 0; i < n; i++ {
-		s.seen[i] = false
-		s.prio[i] = -1
-	}
-	// Iterative DFS; s.stack holds block IDs, s.iter the per-block
-	// successor cursor. Postorder indices count up; reversing them
-	// yields the RPO priority.
-	post := int32(0)
-	stack := s.stack[:0]
-	reached := int32(0)
-	push := func(b int32) {
-		s.seen[b] = true
-		s.iter[b] = 0
-		stack = append(stack, b)
-		reached++
-	}
-	for _, e := range graph.EntryBlocks {
-		if s.seen[e] {
-			continue
-		}
-		push(int32(e))
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			succs := graph.Blocks[b].Succs
-			if int(s.iter[b]) < len(succs) {
-				nxt := int32(succs[s.iter[b]])
-				s.iter[b]++
-				if !s.seen[nxt] {
-					push(nxt)
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			s.prio[b] = post
-			post++
-		}
-	}
-	s.stack = stack[:0]
-	// Reverse: priority 0 pops first, so RPO = reached-1-postorder.
-	for i := 0; i < n; i++ {
-		if s.prio[i] >= 0 {
-			s.prio[i] = reached - 1 - s.prio[i]
-		}
-	}
-	// Unreached blocks (possible under unusual entry placement) go
-	// after every reached block, in block order.
-	next := reached
-	for i := 0; i < n; i++ {
-		if s.prio[i] < 0 {
-			s.prio[i] = next
-			next++
-		}
-	}
-}
-
-func (t *labelTask) labelForward(g *PSG, s *labelScratch) {
-	graph, rn := t.graph, t.rn
-	nBlocks := len(graph.Blocks)
-	s.growBlocks(nBlocks)
-	s.computeRPO(graph)
-	in, out := s.in, s.out
-
-	for si, srcID := range t.sources {
-		if t.refStart[si] == t.refStart[si+1] {
-			continue // no reachable sinks; nothing to label
-		}
-		src := &g.Nodes[srcID]
-		for i := range in {
-			in[i] = flowState{}
-			out[i] = flowState{}
-		}
-		starts := sourceStartBlocks(graph, src, &s.startBuf)
-		// Iterative forward dataflow over the region, in RPO order.
-		wl := &s.wl
-		wl.Reset(nBlocks, s.prio)
-		for _, st := range starts {
-			in[st].merge(flowState{valid: true})
-			wl.Push(st)
-		}
-		for !wl.Empty() {
-			id := wl.Pop()
-			b := graph.Blocks[id]
-			st := in[id]
-			st.mayUse = st.mayUse.Union(b.UBD.Minus(st.mustDef))
-			st.mayDef = st.mayDef.Union(b.Def)
-			st.mustDef = st.mustDef.Union(b.Def)
-			if st.mayUse == out[id].mayUse && st.mayDef == out[id].mayDef &&
-				st.mustDef == out[id].mustDef && out[id].valid {
-				continue
-			}
-			out[id] = st
-			if rn.isStop(b) {
-				continue // paths end here; do not cross the terminator
-			}
-			for _, nxt := range b.Succs {
-				if in[nxt].merge(st) || !out[nxt].valid {
-					wl.Push(nxt)
-				}
-			}
-		}
-		// The dataflow reaches exactly the blocks discovery reached, so
-		// every discovered sink has a valid out state.
-		for _, ref := range t.refs[t.refStart[si]:t.refStart[si+1]] {
-			st := out[ref.sink]
-			e := &g.Edges[ref.edge]
-			e.MayUse, e.MayDef, e.MustDef = st.mayUse, st.mayDef, st.mustDef
-		}
-	}
 }
 
 // NumNodes returns the number of PSG nodes.

@@ -156,10 +156,9 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	// copies.
 	own := inPlace && nNew == nOld
 
-	var wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0 uint64
+	var wlGets0, wlNews0, duGets0, duNews0 uint64
 	if conf.Metrics != nil {
 		wlGets0, wlNews0 = wlPool.Stats()
-		lbGets0, lbNews0 = labelPool.Stats()
 		duGets0, duNews0 = defusePool.Stats()
 	}
 	asp := conf.Tracer.MainThread().Begin("reanalyze").Arg("routines", int64(nNew))
@@ -271,13 +270,11 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	flowEdges := conf.Metrics.Counter("label/flow_edges")
 	defuseLinks := conf.Metrics.Counter("label/defuse_links")
 	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	denseFallbacks := conf.Metrics.Counter("label/dense_fallbacks")
 	cpu += par.ForEachSpan(conf.Tracer, "label", len(tasks), workers, func(i int) {
-		st := tasks[i].label(a.PSG, conf)
+		st := tasks[i].label(a.PSG)
 		flowEdges.Add(uint64(len(tasks[i].refs)))
 		defuseLinks.Add(st.links)
 		chainSteps.Add(st.steps)
-		denseFallbacks.Add(st.dense)
 	})
 	releaseTasks(tasks)
 	srCPU, srShared := a.incrementalSavedRestored(prev, cg, clean, dirty)
@@ -485,7 +482,7 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	a.prepareQueries()
 	asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
 		Arg("reused_components", int64(inc.ReusedComponents))
-	a.publishMetrics(wlGets0, wlNews0, lbGets0, lbNews0, duGets0, duNews0)
+	a.publishMetrics(wlGets0, wlNews0, duGets0, duNews0)
 	return a, nil
 }
 

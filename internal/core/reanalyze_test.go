@@ -170,7 +170,7 @@ func TestReanalyzeConfigMismatch(t *testing.T) {
 		t.Fatalf("mismatch error does not distinguish keys: %v", mismatch)
 	}
 	// Options that do not affect results must not mismatch.
-	if _, err := Reanalyze(prev, mutant, WithClosedWorld(), WithParallelism(2), WithPerEdgeLabeling(true)); err != nil {
+	if _, err := Reanalyze(prev, mutant, WithClosedWorld(), WithParallelism(2)); err != nil {
 		t.Fatalf("result-neutral options rejected: %v", err)
 	}
 }
