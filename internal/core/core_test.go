@@ -631,3 +631,19 @@ func TestStatsPopulated(t *testing.T) {
 		t.Errorf("stage fractions sum to %f", sum)
 	}
 }
+
+// TestEmptyChainRoutine pins a routine with no def-use chain node: its
+// only block is an empty self-loop (no DEF or UBD, one successor, no
+// sink). A fresh chain slab must still build and label it.
+func TestEmptyChainRoutine(t *testing.T) {
+	a := analyze(t, ".routine main\nL:\n  br L\n")
+	if got := a.Stats.PSGEdges; got != 0 {
+		t.Errorf("PSG edges = %d, want 0", got)
+	}
+	d := new(defUse)
+	graph := a.Graphs[0]
+	d.build(graph, d.routineNodes(len(graph.Blocks)))
+	if d.nChain != 0 {
+		t.Errorf("chain nodes = %d, want 0", d.nChain)
+	}
+}
