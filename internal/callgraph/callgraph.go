@@ -78,7 +78,7 @@ type Graph struct {
 // options collects the Build knobs.
 type options struct {
 	pinIndirect bool
-	tracer      *obs.Tracer
+	span        obs.Span
 	metrics     *obs.Metrics
 }
 
@@ -95,11 +95,12 @@ func WithIndirectPinning(on bool) Option {
 }
 
 // WithObs records Build's sub-stages (edge collection, condensation,
-// scheduling) as spans on tr and publishes graph-shape counters
-// (callgraph/*) into m. Either may be nil to disable that half.
-func WithObs(tr *obs.Tracer, m *obs.Metrics) Option {
+// scheduling) as child spans of parent and publishes graph-shape
+// counters (callgraph/*) into m. A zero parent or a nil m disables that
+// half.
+func WithObs(parent obs.Span, m *obs.Metrics) Option {
 	return func(o *options) {
-		o.tracer = tr
+		o.span = parent
 		o.metrics = m
 	}
 }
@@ -200,8 +201,7 @@ func buildGraph(p *prog.Program, prev *Graph, clean []bool, opts []Option) *Grap
 		ng := *prev
 		ng.prog = p
 		ng.reused = true
-		sp := o.tracer.MainThread().Begin("callgraph reuse")
-		sp.Arg("routines", int64(n)).End()
+		o.span.Begin("callgraph reuse").Arg("routines", int64(n)).End()
 		if m := o.metrics; m != nil {
 			publishGraphMetrics(m, &ng)
 		}
@@ -215,8 +215,7 @@ func buildGraph(p *prog.Program, prev *Graph, clean []bool, opts []Option) *Grap
 		pinnedComp:  -1,
 		pinIndirect: o.pinIndirect,
 	}
-	th := o.tracer.MainThread()
-	esp := th.Begin("callgraph edges").Arg("routines", int64(n))
+	esp := o.span.Begin("callgraph edges").Arg("routines", int64(n))
 	for ri, r := range p.Routines {
 		if prev != nil && ri < len(clean) && clean[ri] && ri < len(prev.callees) {
 			g.callees[ri] = prev.callees[ri]
@@ -248,10 +247,10 @@ func buildGraph(p *prog.Program, prev *Graph, clean []bool, opts []Option) *Grap
 			}
 		}
 	}
-	csp := th.Begin("callgraph condense")
+	csp := o.span.Begin("callgraph condense")
 	g.condense(adj)
 	csp.Arg("components", int64(len(g.comps))).End()
-	ssp := th.Begin("callgraph schedule")
+	ssp := o.span.Begin("callgraph schedule")
 	g.schedule()
 	ssp.Arg("waves", int64(len(g.calleeWaves))).End()
 	if g.pinned {

@@ -21,7 +21,6 @@ import (
 	"unsafe"
 
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/regset"
@@ -337,15 +336,8 @@ func BuildAll(p *prog.Program) []*Graph {
 // aggregate per-routine build time — the stage's CPU time, as opposed
 // to the wall time the caller measures around the call.
 func BuildAllParallel(p *prog.Program, workers int) ([]*Graph, time.Duration) {
-	return BuildAllTraced(p, workers, nil)
-}
-
-// BuildAllTraced is BuildAllParallel with per-routine occupancy spans
-// ("cfg") recorded on tr's worker threads; a nil tracer makes it
-// identical to BuildAllParallel.
-func BuildAllTraced(p *prog.Program, workers int, tr *obs.Tracer) ([]*Graph, time.Duration) {
 	gs := make([]*Graph, len(p.Routines))
-	cpu := par.ForEachSpan(tr, "cfg", len(p.Routines), workers, func(ri int) {
+	cpu := par.ForEach(len(p.Routines), workers, func(ri int) {
 		gs[ri] = Build(p, ri)
 	})
 	return gs, cpu
@@ -355,13 +347,7 @@ func BuildAllTraced(p *prog.Program, workers int, tr *obs.Tracer) ([]*Graph, tim
 // workers goroutines, returning the aggregate compute time. Each
 // graph's sets depend only on its own routine's instructions.
 func ComputeDefUBDAll(gs []*Graph, workers int) time.Duration {
-	return ComputeDefUBDAllTraced(gs, workers, nil)
-}
-
-// ComputeDefUBDAllTraced is ComputeDefUBDAll with per-routine
-// occupancy spans ("defubd") recorded on tr's worker threads.
-func ComputeDefUBDAllTraced(gs []*Graph, workers int, tr *obs.Tracer) time.Duration {
-	return par.ForEachSpan(tr, "defubd", len(gs), workers, func(i int) {
+	return par.ForEach(len(gs), workers, func(i int) {
 		ComputeDefUBD(gs[i])
 	})
 }

@@ -8,9 +8,10 @@ import (
 
 	"repro/internal/callgraph"
 	"repro/internal/callstd"
-
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
+	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/regset"
 )
@@ -245,15 +246,10 @@ func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Anal
 		wlGets0, wlNews0 = wlPool.Stats()
 		duGets0, duNews0 = defusePool.Stats()
 	}
-	th := conf.Tracer.MainThread()
-	asp := th.Begin("analyze").
+	asp := conf.Tracer.Begin("analyze").
 		Arg("routines", int64(len(p.Routines))).
 		Arg("workers", int64(workers))
-	// The request-scoped view, when a daemon request carried one in:
-	// one span per stage under the caller's parent, coarse enough to
-	// record on every live request (see WithRequestSpans).
-	rt, rparent := conf.ReqTrace, conf.ReqParent
-	rt.Arg(rparent, "routines", int64(len(p.Routines)))
+	defer asp.End()
 
 	// cancelled is the between-stage cancellation point: each stage
 	// boundary checks it so an abandoned caller stops paying for the
@@ -261,96 +257,82 @@ func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Anal
 	// grained points (per wave and inside the solve loops).
 	cancelled := func() error {
 		if err := ctx.Err(); err != nil {
-			asp.End()
 			return fmt.Errorf("core: analyze: %w", err)
 		}
 		return nil
 	}
 
-	start := time.Now()
-	ssp := th.Begin("cfg build")
-	rsp := rt.Begin(rparent, "cfg build")
-	a.Graphs, a.Stats.CFGBuildCPU = cfg.BuildAllTraced(p, workers, conf.Tracer)
-	ssp.End()
-	rt.End(rsp)
-	a.Stats.CFGBuild = time.Since(start)
+	a.buildGraphs(asp, workers)
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
-
-	start = time.Now()
-	ssp = th.Begin("init")
-	rsp = rt.Begin(rparent, "init")
-	a.Stats.InitCPU = cfg.ComputeDefUBDAllTraced(a.Graphs, workers, conf.Tracer)
-	ssp.End()
-	rt.End(rsp)
-	a.Stats.Init = time.Since(start)
+	a.Stats.PSGBuild = stage(asp, "psg build", func(sp obs.Span) {
+		a.PSG, a.Stats.PSGBuildCPU = buildPSG(p, a.Graphs, conf, sp)
+	})
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
-
-	start = time.Now()
-	ssp = th.Begin("psg build")
-	rsp = rt.Begin(rparent, "psg build")
-	a.PSG, a.Stats.PSGBuildCPU = buildPSG(p, a.Graphs, conf)
-	ssp.End()
-	rt.End(rsp)
-	a.Stats.PSGBuild = time.Since(start)
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-
-	start = time.Now()
-	ssp = th.Begin("callgraph build")
-	rsp = rt.Begin(rparent, "callgraph build")
-	a.callGraph = callgraph.Build(p,
-		callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
-		callgraph.WithObs(conf.Tracer, conf.Metrics))
-	ssp.End()
-	rt.End(rsp)
-	a.Stats.CallGraphBuild = time.Since(start)
+	a.Stats.CallGraphBuild = stage(asp, "callgraph build", func(sp obs.Span) {
+		a.callGraph = callgraph.Build(p,
+			callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
+			callgraph.WithObs(sp, conf.Metrics))
+	})
 	a.Stats.SCCComponents = a.callGraph.NumComponents()
 	sched := newPhaseSched(a.PSG, a.callGraph, conf)
 
-	start = time.Now()
-	ssp = th.Begin("phase1")
-	rsp = rt.Begin(rparent, "phase1")
-	a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runPhase1()
-	ssp.Arg("waves", int64(a.Stats.Phase1Waves)).
-		Arg("iterations", int64(a.Stats.Phase1Iterations)).End()
-	rt.Arg(rsp, "waves", int64(a.Stats.Phase1Waves))
-	rt.Arg(rsp, "iterations", int64(a.Stats.Phase1Iterations))
-	rt.End(rsp)
-	a.Stats.Phase1 = time.Since(start)
+	a.Stats.Phase1 = stage(asp, "phase1", func(sp obs.Span) {
+		a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runPhase1(sp)
+		sp.Arg("waves", int64(a.Stats.Phase1Waves)).Arg("iterations", int64(a.Stats.Phase1Iterations))
+	})
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
-
-	start = time.Now()
-	ssp = th.Begin("phase2")
-	rsp = rt.Begin(rparent, "phase2")
-	a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runPhase2()
-	ssp.Arg("waves", int64(a.Stats.Phase2Waves)).
-		Arg("iterations", int64(a.Stats.Phase2Iterations)).End()
-	rt.Arg(rsp, "waves", int64(a.Stats.Phase2Waves))
-	rt.Arg(rsp, "iterations", int64(a.Stats.Phase2Iterations))
-	rt.End(rsp)
-	a.Stats.Phase2 = time.Since(start)
+	a.Stats.Phase2 = stage(asp, "phase2", func(sp obs.Span) {
+		a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runPhase2(sp)
+		sp.Arg("waves", int64(a.Stats.Phase2Waves)).Arg("iterations", int64(a.Stats.Phase2Iterations))
+	})
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
 	a.schedShape = sched.shape()
 
-	ssp = th.Begin("summaries")
-	rsp = rt.Begin(rparent, "summaries")
-	a.collectSummaries()
-	a.collectCounts()
-	a.prepareQueries()
-	ssp.End()
-	rt.End(rsp)
-	asp.End()
+	stage(asp, "summaries", func(obs.Span) {
+		a.collectSummaries()
+		a.collectCounts()
+		a.prepareQueries()
+	})
 	a.publishMetrics(wlGets0, wlNews0, duGets0, duNews0)
 	return a, nil
+}
+
+// buildGraphs runs the cfg build and init stages over every routine of
+// a.Prog, filling a.Graphs and the two stages' Stats.
+func (a *Analysis) buildGraphs(asp obs.Span, workers int) {
+	n := len(a.Prog.Routines)
+	a.Graphs = make([]*cfg.Graph, n)
+	a.Stats.CFGBuild = stage(asp, "cfg build", func(sp obs.Span) {
+		a.Stats.CFGBuildCPU = par.ForEachSpan(sp, "cfg", n, workers, func(ri int) {
+			a.Graphs[ri] = cfg.Build(a.Prog, ri)
+		})
+	})
+	a.Stats.Init = stage(asp, "init", func(sp obs.Span) {
+		a.Stats.InitCPU = par.ForEachSpan(sp, "defubd", n, workers, func(ri int) {
+			cfg.ComputeDefUBD(a.Graphs[ri])
+		})
+	})
+}
+
+// stage runs fn as one pipeline stage: a span named name under parent
+// on the pipeline track, which fn receives so the stage's own spans
+// nest under it. It returns the stage's wall time, the Stats field the
+// stage reports.
+func stage(parent obs.Span, name string, fn func(sp obs.Span)) time.Duration {
+	sp := parent.Begin(name)
+	start := time.Now()
+	fn(sp)
+	d := time.Since(start)
+	sp.End()
+	return d
 }
 
 // publishMetrics stores the graph-shape gauges and this run's pool

@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -143,98 +147,164 @@ func TestDisabledObsAllocParity(t *testing.T) {
 	if explicit != base {
 		t.Errorf("explicit nil observer allocates %.0f/run vs %.0f/run default", explicit, base)
 	}
-	// The serving daemon's request-span plumbing must be free when no
-	// request trace rides the config (the flight recorder disabled).
-	reqspans := testing.AllocsPerRun(5, func() {
-		if _, err := Analyze(p, WithParallelism(1), WithRequestSpans(nil, obs.NoSpan)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if reqspans != base {
-		t.Errorf("nil request-span observer allocates %.0f/run vs %.0f/run default", reqspans, base)
-	}
 	if base > analyzeAllocBudget {
 		t.Errorf("disabled-tracing Analyze allocates %.0f/run, budget %d", base, analyzeAllocBudget)
 	}
 }
 
-// TestAnalyzeRequestSpans checks the request-scoped stage inventory: an
-// analysis run under WithRequestSpans records one child span per
-// pipeline stage, all parented to the span the caller supplied.
-func TestAnalyzeRequestSpans(t *testing.T) {
-	p := perfProgram()
-	rt := obs.NewRequestTrace(1, "/v1/summary")
-	an := rt.Begin(rt.Root(), "analyze")
-	if _, err := Analyze(p, WithParallelism(2), WithRequestSpans(rt, an)); err != nil {
-		t.Fatal(err)
+// pipelineShape projects the spans of track tid, from index from on,
+// onto name, parent and args; a parent is given as its position in the
+// projection, -1 when it lies outside it.
+func pipelineShape(spans []obs.SpanData, tid int64, from int) []string {
+	pos := map[int32]int{}
+	var out []string
+	for i := from; i < len(spans); i++ {
+		sp := &spans[i]
+		if sp.Tid != tid {
+			continue
+		}
+		parent, ok := pos[sp.Parent]
+		if !ok {
+			parent = -1
+		}
+		pos[int32(i)] = len(out)
+		line := fmt.Sprintf("%s parent=%d", sp.Name, parent)
+		args := append([]obs.Arg(nil), sp.Args()...)
+		sort.Slice(args, func(i, j int) bool { return args[i].Key < args[j].Key })
+		for _, a := range args {
+			line += fmt.Sprintf(" %s=%d", a.Key, a.Val)
+		}
+		out = append(out, line)
 	}
-	rt.End(an)
+	return out
+}
+
+// TestRequestAndOfflineSpansAgree runs an analyze and one body-edit
+// reanalyze at parallelism 1 under an offline tree and under a
+// request's: the pipeline spans, projected to name, parent and args,
+// are identical, every stage nests under its analysis, and the request
+// tree holds no worker spans.
+func TestRequestAndOfflineSpansAgree(t *testing.T) {
+	p := perfProgram()
+	mutant, _ := progen.MutateKind(p, 3, progen.MutBodyEdit)
+	run := func(tr *obs.Tracer) {
+		t.Helper()
+		prev, err := Analyze(p, WithParallelism(1), WithTracer(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Reanalyze(prev, mutant, WithParallelism(1), WithTracer(tr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := obs.NewTracer()
+	run(off)
+	rt := obs.NewRequestTrace(9, "/v1/patch")
+	run(rt.Tracer())
 	rt.Finish(200)
 
-	spans := rt.Spans()
-	count := map[string]int{}
-	for i, sp := range spans {
-		count[sp.Name]++
-		if i >= 2 && sp.Parent != an {
-			t.Errorf("stage span %q parented to %d, want %d", sp.Name, sp.Parent, an)
+	offSpans, reqSpans := off.Spans(), rt.Tracer().Spans()
+	offline, request := pipelineShape(offSpans, 0, 0), pipelineShape(reqSpans, 9, 1)
+	if !reflect.DeepEqual(offline, request) {
+		t.Errorf("pipeline spans differ:\noffline:\n%s\nrequest:\n%s",
+			strings.Join(offline, "\n"), strings.Join(request, "\n"))
+	}
+	if len(offline) == len(offSpans) {
+		t.Error("the offline tree recorded no worker spans")
+	}
+	for _, sp := range reqSpans {
+		if sp.Tid != 9 {
+			t.Errorf("request tree holds span %q on track %d", sp.Name, sp.Tid)
 		}
 		if sp.Dur < 0 {
 			t.Errorf("span %q left open", sp.Name)
 		}
 	}
-	for _, stage := range []string{
-		"cfg build", "init", "psg build", "callgraph build",
-		"phase1", "phase2", "summaries",
+
+	children := map[string][]string{}
+	for _, sp := range reqSpans {
+		if sp.Parent > 0 && reqSpans[sp.Parent].Parent == 0 {
+			parent := reqSpans[sp.Parent].Name
+			children[parent] = append(children[parent], sp.Name)
+		}
+	}
+	for name, want := range map[string][]string{
+		"analyze":   {"cfg build", "init", "psg build", "callgraph build", "phase1", "phase2", "summaries"},
+		"reanalyze": {"diff", "cfg build", "init", "callgraph build", "psg build", "phase1", "phase2", "summaries"},
 	} {
-		if count[stage] != 1 {
-			t.Errorf("request span %q appears %d times, want 1", stage, count[stage])
+		if !reflect.DeepEqual(children[name], want) {
+			t.Errorf("%s stages = %v, want %v", name, children[name], want)
 		}
 	}
 }
 
-// TestReanalyzeSpanArgs traces one re-analysis and requires its
-// "reanalyze" span to carry all four args: obs.Span keeps at most four,
-// and perfbench's traced run reads routines and dirty_routines.
+// TestReanalyzeSpanArgs traces one re-analysis per edit kind. The
+// "reanalyze" span carries all four args (a span keeps at most four,
+// and perfbench's traced run reads routines and dirty_routines); its
+// "psg build" span reports which engine path ran as shape_preserving;
+// and the incremental phases record one wave span per re-solved wave
+// and one component span per re-solved component.
 func TestReanalyzeSpanArgs(t *testing.T) {
 	p := perfProgram()
 	prev, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutant, _ := progen.MutateKind(p, 3, progen.MutBodyEdit)
-	tr := obs.NewTracer()
-	if _, err := Reanalyze(prev, mutant, WithTracer(tr)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, ev := range doc.TraceEvents {
-		if ev.Name != "reanalyze" {
-			continue
+	for _, tc := range []struct {
+		kind  progen.Mutation
+		shape int64
+	}{
+		{progen.MutBodyEdit, 1},
+		{progen.MutAddRoutine, 0},
+	} {
+		mutant, _ := progen.MutateKind(p, 3, tc.kind)
+		tr := obs.NewTracer()
+		a, err := Reanalyze(prev, mutant, WithTracer(tr))
+		if err != nil {
+			t.Fatal(err)
 		}
-		found = true
-		for _, k := range []string{"routines", "dirty_routines", "resolved_components", "reused_components"} {
-			if _, ok := ev.Args[k]; !ok {
-				t.Errorf("reanalyze span lacks arg %q (args %v)", k, ev.Args)
+		inc := a.Incremental
+		if got := inc.ShapePreserving; got != (tc.shape == 1) {
+			t.Fatalf("edit %v: ShapePreserving = %v, want %v", tc.kind, got, tc.shape == 1)
+		}
+		args := map[string]map[string]int64{}
+		count := map[string]int{}
+		for _, sp := range tr.Spans() {
+			count[sp.Name]++
+			args[sp.Name] = map[string]int64{}
+			for _, a := range sp.Args() {
+				args[sp.Name][a.Key] = a.Val
 			}
 		}
-		if ev.Args["dirty_routines"] != 1.0 {
-			t.Errorf("dirty_routines = %v, want 1", ev.Args["dirty_routines"])
+		if count["reanalyze"] != 1 {
+			t.Fatalf("edit %v: %d reanalyze spans, want 1", tc.kind, count["reanalyze"])
 		}
-	}
-	if !found {
-		t.Fatal("no reanalyze span in the trace")
+		re := args["reanalyze"]
+		for _, k := range []string{"routines", "dirty_routines", "resolved_components", "reused_components"} {
+			if _, ok := re[k]; !ok {
+				t.Errorf("edit %v: reanalyze span lacks arg %q (args %v)", tc.kind, k, re)
+			}
+		}
+		if re["dirty_routines"] != int64(inc.DirtyRoutines) {
+			t.Errorf("edit %v: dirty_routines = %d, want %d", tc.kind, re["dirty_routines"], inc.DirtyRoutines)
+		}
+		if got, ok := args["psg build"]["shape_preserving"]; !ok || got != tc.shape {
+			t.Errorf("edit %v: psg build shape_preserving = %d (present %v), want %d", tc.kind, got, ok, tc.shape)
+		}
+		st := a.Stats
+		for _, c := range []struct {
+			name string
+			want int
+		}{
+			{"phase1 wave", st.Phase1Waves}, {"phase2 wave", st.Phase2Waves},
+			{"phase1 component", inc.Phase1Components}, {"phase2 component", inc.Phase2Components},
+		} {
+			if count[c.name] != c.want {
+				t.Errorf("edit %v: %d %q spans, want %d", tc.kind, count[c.name], c.name, c.want)
+			}
+		}
+		if inc.Phase1Components == 0 {
+			t.Errorf("edit %v re-solved no component", tc.kind)
+		}
 	}
 }

@@ -85,23 +85,14 @@ func WithParallelism(n int) Option {
 	return func(c *Config) { c.Parallelism = n }
 }
 
-// WithTracer records begin/end spans for every pipeline stage, wave
-// and component solve into tr, for export as Chrome trace_event JSON
-// (obs.Tracer.WriteTrace; view in Perfetto or chrome://tracing). A nil
-// tr — the default — disables tracing with zero allocations.
+// WithTracer records the analysis's spans at tr's position: its
+// "analyze" (or "reanalyze", "rehydrate") span, every pipeline stage
+// and wave under it, and — in a tree with worker tracks — every
+// per-routine and component solve. Export with obs.Tracer.WriteTrace
+// and view in Perfetto or chrome://tracing. A nil tr — the default —
+// disables tracing with zero allocations.
 func WithTracer(tr *obs.Tracer) Option {
 	return func(c *Config) { c.Tracer = tr }
-}
-
-// WithRequestSpans records coarse per-stage spans (cfg build, init,
-// phase1, phase2, summaries, ...) into rt as children of parent — the
-// serving daemon's request-scoped view of an analysis. Unlike
-// WithTracer's per-wave/per-component detail, these are a handful of
-// spans per analysis, cheap enough to record on every live request and
-// to retain in the flight recorder. A nil rt — the default — records
-// nothing with zero allocations.
-func WithRequestSpans(rt *obs.RequestTrace, parent obs.RSpan) Option {
-	return func(c *Config) { c.ReqTrace, c.ReqParent = rt, parent }
 }
 
 // WithMetrics publishes the solver telemetry — worklist traffic,

@@ -56,7 +56,7 @@ func TestPSGBuildAllocationBudget(t *testing.T) {
 	conf := DefaultConfig()
 	conf.Parallelism = 1
 	allocs := testing.AllocsPerRun(5, func() {
-		buildPSG(p, graphs, conf)
+		buildPSG(p, graphs, conf, obs.Span{})
 	})
 	t.Logf("buildPSG: %.0f allocs/run (budget %d)", allocs, psgBuildAllocBudget)
 	if allocs > psgBuildAllocBudget {
@@ -73,12 +73,12 @@ func TestPhasesAllocationBudget(t *testing.T) {
 	cfg.ComputeDefUBDAll(graphs, 1)
 	conf := DefaultConfig()
 	conf.Parallelism = 1
-	g, _ := buildPSG(p, graphs, conf)
+	g, _ := buildPSG(p, graphs, conf, obs.Span{})
 	cg := callgraph.Build(p, callgraph.WithIndirectPinning(conf.LinkIndirectCalls))
 	allocs := testing.AllocsPerRun(5, func() {
 		s := newPhaseSched(g, cg, conf)
-		s.runPhase1()
-		s.runPhase2()
+		s.runPhase1(obs.Span{})
+		s.runPhase2(obs.Span{})
 	})
 	t.Logf("phases: %.0f allocs/run (budget %d)", allocs, phasesAllocBudget)
 	if allocs > phasesAllocBudget {
@@ -100,7 +100,7 @@ func BenchmarkPSGBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildPSG(p, graphs, conf)
+		buildPSG(p, graphs, conf, obs.Span{})
 	}
 }
 
@@ -116,13 +116,13 @@ func BenchmarkLabeling(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buildPSG(p, graphs, conf)
+			buildPSG(p, graphs, conf, obs.Span{})
 		}
 		// Publish the labeling shape counters with the record
 		// (units ending "/run"): one untimed instrumented build.
 		b.StopTimer()
 		conf.Metrics = obs.NewMetrics()
-		buildPSG(p, graphs, conf)
+		buildPSG(p, graphs, conf, obs.Span{})
 		obs.ReportCounters(b, conf.Metrics,
 			"label/flow_edges", "label/defuse_links", "label/chain_steps")
 	})
@@ -138,7 +138,7 @@ func BenchmarkDefUseBuild(b *testing.B) {
 	cfg.ComputeDefUBDAll(graphs, 1)
 	conf := DefaultConfig()
 	conf.Parallelism = 1
-	g, _ := buildPSG(p, graphs, conf)
+	g, _ := buildPSG(p, graphs, conf, obs.Span{})
 	rns := make([]routineNodes, len(graphs))
 	for ri, graph := range graphs {
 		rn := new(defUse).routineNodes(len(graph.Blocks))
@@ -173,14 +173,14 @@ func BenchmarkPhases(b *testing.B) {
 	cfg.ComputeDefUBDAll(graphs, 1)
 	conf := DefaultConfig()
 	conf.Parallelism = 1
-	g, _ := buildPSG(p, graphs, conf)
+	g, _ := buildPSG(p, graphs, conf, obs.Span{})
 	cg := callgraph.Build(p, callgraph.WithIndirectPinning(conf.LinkIndirectCalls))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := newPhaseSched(g, cg, conf)
-		s.runPhase1()
-		s.runPhase2()
+		s.runPhase1(obs.Span{})
+		s.runPhase2(obs.Span{})
 	}
 	// One untimed instrumented run publishes the solver counters into
 	// the benchmark record (units ending "/run"), so BENCH_phases.json
@@ -188,8 +188,8 @@ func BenchmarkPhases(b *testing.B) {
 	b.StopTimer()
 	conf.Metrics = obs.NewMetrics()
 	s := newPhaseSched(g, cg, conf)
-	s.runPhase1()
-	s.runPhase2()
+	s.runPhase1(obs.Span{})
+	s.runPhase2(obs.Span{})
 	obs.ReportCounters(b, conf.Metrics,
 		"phase1/iterations", "phase1/worklist_pushes", "phase1/edge_relabels",
 		"phase1/edge_scans", "phase2/iterations", "phase2/worklist_pushes",

@@ -405,54 +405,60 @@ var wlPool = obs.NewPool(func() any { return new(dataflow.Worklist) })
 // of each wave concurrently on the worker pool and the waves in order.
 // It returns the wave count, the total worklist iterations (summed
 // deterministically per component), and the aggregate solver CPU time.
-//
-// When tracing is on, each wave gets a span on the pipeline thread and
-// each component solve a span on its worker's thread (worker threads
-// are resolved up front so the solve loop records lock-free); when
-// metrics are on, each component's iteration count feeds the phase's
-// component-iterations histogram.
-func (s *phaseSched) runWaves(name string, po *phaseObs, schedule [][]int, solve func(c int) int) (waves, iters int, cpu time.Duration) {
+// When metrics are on, each component's iteration count feeds the
+// phase's component-iterations histogram.
+func (s *phaseSched) runWaves(phase obs.Span, phase2 bool, po *phaseObs, schedule [][]int, solve func(s *phaseSched, c int) int) (waves, iters int, cpu time.Duration) {
+	// The waves partition the components, so one slab holds every
+	// wave's counts.
 	counts := make([]int, s.cg.NumComponents())
-	tr := s.conf.Tracer
-	th := tr.MainThread()
-	var ths []*obs.Thread
-	var waveName, compName string
-	if tr != nil {
-		nw := par.Workers(s.workers)
-		ths = make([]*obs.Thread, nw)
-		for w := range ths {
-			ths[w] = tr.WorkerThread(w)
-		}
-		waveName, compName = name+" wave", name+" component"
-	}
 	for wi, wave := range schedule {
 		if s.cancelled() {
 			break
 		}
-		wave := wave
-		wsp := th.Begin(waveName).Arg("wave", int64(wi)).Arg("components", int64(len(wave)))
-		cpu += par.ForEachWorker(len(wave), s.workers, func(w, i int) {
-			if s.cancelled() {
-				return
-			}
-			c := wave[i]
-			var sp obs.Span
-			if ths != nil {
-				sp = ths[w].Begin(compName).
-					Arg("component", int64(c)).
-					Arg("nodes", int64(len(s.nodes(c))))
-			}
-			counts[c] = solve(c)
-			sp.Arg("iterations", int64(counts[c])).End()
-			po.compIters.Observe(uint64(counts[c]))
-		})
-		wsp.End()
-	}
-	for _, k := range counts {
-		iters += k
+		wc := counts[:len(wave)]
+		counts = counts[len(wave):]
+		cpu += s.solveWave(phase, phase2, wi, wave, wc, solve)
+		for _, k := range wc {
+			iters += k
+			po.compIters.Observe(uint64(k))
+		}
 	}
 	po.iterations.Add(uint64(iters))
 	return len(schedule), iters, cpu
+}
+
+// waveSpan and compSpan name the spans solveWave records, per phase.
+var (
+	waveSpan = [2]string{"phase1 wave", "phase2 wave"}
+	compSpan = [2]string{"phase1 component", "phase2 component"}
+)
+
+// solveWave solves the components comps of wave wi concurrently on the
+// worker pool, storing solve(s, comps[i]) in counts[i], and returns the
+// pool's CPU time. solve is a method expression, so passing it
+// allocates nothing. When tracing is on, the wave gets a span under phase
+// on the pipeline track and each component solve one under the wave on
+// its worker's track. The from-scratch and the incremental schedules
+// both solve through here.
+func (s *phaseSched) solveWave(phase obs.Span, phase2 bool, wi int, comps, counts []int, solve func(s *phaseSched, c int) int) time.Duration {
+	k := 0
+	if phase2 {
+		k = 1
+	}
+	wsp := phase.Begin(waveSpan[k]).Arg("wave", int64(wi)).Arg("components", int64(len(comps)))
+	cpu := par.ForEachWorker(len(comps), s.workers, func(w, i int) {
+		if s.cancelled() {
+			return
+		}
+		c := comps[i]
+		sp := wsp.Worker(w, compSpan[k]).
+			Arg("component", int64(c)).
+			Arg("nodes", int64(len(s.nodes(c))))
+		counts[i] = solve(s, c)
+		sp.Arg("iterations", int64(counts[i])).End()
+	})
+	wsp.End()
+	return cpu
 }
 
 // prepareIndirect collects the scheduler's §3.5 indirect-call
@@ -488,7 +494,7 @@ func (s *phaseSched) prepareIndirect() {
 // the empty set on their first visit, so the optimism is bounded by the
 // real paths. Direct call-return edges start optimistic too; the entry
 // broadcast refines them downward.
-func (s *phaseSched) runPhase1() (waves, iters int, cpu time.Duration) {
+func (s *phaseSched) runPhase1(sp obs.Span) (waves, iters int, cpu time.Duration) {
 	g, conf := s.g, s.conf
 	s.prepareIndirect()
 	for i := range g.Nodes {
@@ -522,7 +528,7 @@ func (s *phaseSched) runPhase1() (waves, iters int, cpu time.Duration) {
 		}
 	}
 
-	waves, iters, cpu = s.runWaves("phase1", &s.obs1, s.cg.CalleeFirstWaves(), s.solvePhase1)
+	waves, iters, cpu = s.runWaves(sp, false, &s.obs1, s.cg.CalleeFirstWaves(), (*phaseSched).solvePhase1)
 	for i := range g.Nodes {
 		g.Nodes[i].phase1Use = g.Nodes[i].MayUse
 	}
@@ -807,13 +813,13 @@ func (g *PSG) linkReturnSites(conf Config) {
 // scratch as liveness. A callee's exits read the converged liveness of
 // its callers' return nodes, which the caller-first order schedules
 // strictly earlier.
-func (s *phaseSched) runPhase2() (waves, iters int, cpu time.Duration) {
+func (s *phaseSched) runPhase2(sp obs.Span) (waves, iters int, cpu time.Duration) {
 	g := s.g
 	g.linkReturnSites(s.conf)
 	for i := range g.Nodes {
 		g.Nodes[i].MayUse = regset.Empty
 	}
-	return s.runWaves("phase2", &s.obs2, s.cg.CallerFirstWaves(), s.solvePhase2)
+	return s.runWaves(sp, true, &s.obs2, s.cg.CallerFirstWaves(), (*phaseSched).solvePhase2)
 }
 
 // solvePhase2 iterates one component's liveness to a fixed point,

@@ -283,26 +283,20 @@ type Config struct {
 	// pipeline serially. Results are identical for every value.
 	Parallelism int
 
-	// Tracer, when non-nil, receives begin/end spans for every pipeline
-	// stage, wave and component solve (see internal/obs and DESIGN.md
+	// Tracer, when non-nil, is the position in a span tree where the
+	// analysis opens its "analyze", "reanalyze" or "rehydrate" span: a
+	// fresh tree (obs.NewTracer) for an offline capture, or a point
+	// under a caller's span (a daemon request's). Under it go the
+	// pipeline stages and waves and, in a tree with worker tracks, every
+	// per-routine and component solve (see internal/obs and DESIGN.md
 	// §8). nil — the default — disables tracing at the cost of one
-	// branch-predictable nil check per instrumentation site.
+	// branch-predictable check per instrumentation site.
 	Tracer *obs.Tracer
 
 	// Metrics, when non-nil, receives the solver telemetry counters and
 	// histograms (worklist traffic, per-component iterations, relabels,
 	// graph-shape gauges). nil disables them the same way.
 	Metrics *obs.Metrics
-
-	// ReqTrace, when non-nil, receives coarse per-stage spans (cfg
-	// build, phase1, phase2, ...) as children of ReqParent — the serving
-	// daemon's request-scoped view of an analysis, attributing one
-	// request's latency to pipeline stages (WithRequestSpans). Parallel
-	// to Tracer, which records the fine-grained per-wave/per-component
-	// offline view. nil — the default — records nothing and allocates
-	// nothing.
-	ReqTrace  *obs.RequestTrace
-	ReqParent obs.RSpan
 
 	// ctx is the cancellation context AnalyzeContext threads through
 	// the pipeline; nil means no cancellation. Deliberately unexported:
@@ -360,7 +354,8 @@ func PaperConfig() Config {
 // slabs; each worker writes only the Edge structs of its own routine, so the
 // result is byte-identical to a serial run. The returned duration is the
 // aggregate compute time across both passes (the stage's CPU time).
-func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Duration) {
+// The passes record their spans under sp, the stage's span.
+func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config, sp obs.Span) (*PSG, time.Duration) {
 	// Pre-size the slabs from the terminator classes so construction
 	// avoids append-doubling: the node count is exact except that
 	// multiway blocks outside loops don't get a branch node (a small
@@ -428,7 +423,7 @@ func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Dur
 		g.CallerEdges[ri] = pairs
 	}
 	serial := time.Now()
-	ssp := conf.Tracer.MainThread().Begin("psg structure")
+	ssp := sp.Begin("psg structure")
 	var scratch buildScratch
 	tasks := make([]labelTask, len(p.Routines))
 	g.nodeStart = make([]int32, len(p.Routines)+1)
@@ -447,14 +442,14 @@ func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config) (*PSG, time.Dur
 	flowEdges := conf.Metrics.Counter("label/flow_edges")
 	defuseLinks := conf.Metrics.Counter("label/defuse_links")
 	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	cpu += par.ForEachSpan(conf.Tracer, "label", len(tasks), workers, func(ri int) {
+	cpu += par.ForEachSpan(sp, "label", len(tasks), workers, func(ri int) {
 		st := tasks[ri].label(g)
 		flowEdges.Add(uint64(len(tasks[ri].refs)))
 		defuseLinks.Add(st.links)
 		chainSteps.Add(st.steps)
 	})
 	releaseTasks(tasks)
-	cpu += g.computeSavedRestored(workers, conf.Tracer)
+	cpu += g.computeSavedRestored(workers, sp)
 	return g, cpu
 }
 

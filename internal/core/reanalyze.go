@@ -9,6 +9,7 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/callstd"
 	"repro/internal/cfg"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/prog"
 	"repro/internal/regset"
@@ -161,13 +162,10 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 		wlGets0, wlNews0 = wlPool.Stats()
 		duGets0, duNews0 = defusePool.Stats()
 	}
-	asp := conf.Tracer.MainThread().Begin("reanalyze").Arg("routines", int64(nNew))
+	// The same stage spans as AnalyzeContext, plus the incremental-only
+	// "diff".
+	asp := conf.Tracer.Begin("reanalyze").Arg("routines", int64(nNew))
 	defer asp.End()
-	// Request-scoped stage spans, when a daemon request carried a trace
-	// in (WithRequestSpans); same stage names as AnalyzeContext plus the
-	// incremental-only "diff".
-	rt, rparent := conf.ReqTrace, conf.ReqParent
-	rt.Arg(rparent, "routines", int64(nNew))
 
 	cancelled := func() error {
 		if err := ctx.Err(); err != nil {
@@ -184,7 +182,7 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	// (a rewrite landing on identical bytes, or a deep Clone) are still
 	// clean. The result adopts the hash table assembled here, so chained
 	// re-analyses never rescan clean bodies.
-	rsp := rt.Begin(rparent, "diff")
+	dsp := asp.Begin("diff")
 	prevHashes := prev.BodyHashes()
 	hashes := ownOrCopy(own, prevHashes, nNew)
 	clean := make([]bool, nNew)
@@ -203,9 +201,8 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 		hashes[ri] = h
 	}
 	a.adoptBodyHashes(hashes)
+	dsp.Arg("dirty_routines", int64(len(dirty))).End()
 	asp.Arg("dirty_routines", int64(len(dirty)))
-	rt.Arg(rsp, "dirty_routines", int64(len(dirty)))
-	rt.End(rsp)
 
 	if err := validatePatched(patched, prev, dirty); err != nil {
 		return nil, err
@@ -224,64 +221,63 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 		}
 	}
 	a.Graphs = ownOrCopy(own, prev.Graphs, nNew)
-	start := time.Now()
-	rsp = rt.Begin(rparent, "cfg build")
-	a.Stats.CFGBuildCPU = par.ForEachSpan(conf.Tracer, "cfg", len(dirty), workers, func(i int) {
-		a.Graphs[dirty[i]] = cfg.Build(patched, dirty[i])
+	a.Stats.CFGBuild = stage(asp, "cfg build", func(sp obs.Span) {
+		a.Stats.CFGBuildCPU = par.ForEachSpan(sp, "cfg", len(dirty), workers, func(i int) {
+			a.Graphs[dirty[i]] = cfg.Build(patched, dirty[i])
+		})
 	})
-	a.Stats.CFGBuild = time.Since(start)
-	rt.End(rsp)
-
-	start = time.Now()
-	rsp = rt.Begin(rparent, "init")
-	a.Stats.InitCPU = par.ForEachSpan(conf.Tracer, "defubd", len(dirty), workers, func(i int) {
-		cfg.ComputeDefUBD(a.Graphs[dirty[i]])
+	a.Stats.Init = stage(asp, "init", func(sp obs.Span) {
+		a.Stats.InitCPU = par.ForEachSpan(sp, "defubd", len(dirty), workers, func(i int) {
+			cfg.ComputeDefUBD(a.Graphs[dirty[i]])
+		})
 	})
-	a.Stats.Init = time.Since(start)
-	rt.End(rsp)
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
 
 	// ---- call graph ----------------------------------------------------
-	start = time.Now()
-	rsp = rt.Begin(rparent, "callgraph build")
 	prevCG := prev.CallGraph()
-	cg := callgraph.BuildIncremental(patched, prevCG, clean,
-		callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
-		callgraph.WithObs(conf.Tracer, conf.Metrics))
+	var cg *callgraph.Graph
+	a.Stats.CallGraphBuild = stage(asp, "callgraph build", func(sp obs.Span) {
+		cg = callgraph.BuildIncremental(patched, prevCG, clean,
+			callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
+			callgraph.WithObs(sp, conf.Metrics))
+	})
 	a.callGraph = cg
-	a.Stats.CallGraphBuild = time.Since(start)
-	rt.End(rsp)
 	a.Stats.SCCComponents = cg.NumComponents()
 
 	// ---- PSG assembly --------------------------------------------------
-	start = time.Now()
-	rsp = rt.Begin(rparent, "psg build")
-	var tasks []labelTask
 	shapeSame := nNew == nOld
-	if shapeSame {
-		tasks, shapeSame = a.assembleSameShape(prev, dirty, own, conf)
-	}
-	if !shapeSame {
-		tasks = a.assemblePSG(prev, clean, dirty, conf)
-	}
-	cpu := time.Since(start)
-	flowEdges := conf.Metrics.Counter("label/flow_edges")
-	defuseLinks := conf.Metrics.Counter("label/defuse_links")
-	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	cpu += par.ForEachSpan(conf.Tracer, "label", len(tasks), workers, func(i int) {
-		st := tasks[i].label(a.PSG)
-		flowEdges.Add(uint64(len(tasks[i].refs)))
-		defuseLinks.Add(st.links)
-		chainSteps.Add(st.steps)
+	var srShared bool
+	a.Stats.PSGBuild = stage(asp, "psg build", func(sp obs.Span) {
+		start := time.Now()
+		var tasks []labelTask
+		if shapeSame {
+			tasks, shapeSame = a.assembleSameShape(prev, dirty, own, conf)
+		}
+		if !shapeSame {
+			tasks = a.assemblePSG(prev, clean, dirty, conf)
+		}
+		cpu := time.Since(start)
+		flowEdges := conf.Metrics.Counter("label/flow_edges")
+		defuseLinks := conf.Metrics.Counter("label/defuse_links")
+		chainSteps := conf.Metrics.Counter("label/chain_steps")
+		cpu += par.ForEachSpan(sp, "label", len(tasks), workers, func(i int) {
+			st := tasks[i].label(a.PSG)
+			flowEdges.Add(uint64(len(tasks[i].refs)))
+			defuseLinks.Add(st.links)
+			chainSteps.Add(st.steps)
+		})
+		releaseTasks(tasks)
+		srCPU, shared := a.incrementalSavedRestored(prev, cg, clean, dirty)
+		srShared = shared
+		a.Stats.PSGBuildCPU = cpu + srCPU
+		shape := int64(0)
+		if shapeSame {
+			shape = 1
+		}
+		sp.Arg("shape_preserving", shape)
 	})
-	releaseTasks(tasks)
-	srCPU, srShared := a.incrementalSavedRestored(prev, cg, clean, dirty)
-	cpu += srCPU
-	a.Stats.PSGBuildCPU = cpu
-	a.Stats.PSGBuild = time.Since(start)
-	rt.End(rsp)
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
@@ -348,138 +344,136 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	a.schedShape = sched.shape()
 
 	// ---- phase 1 -------------------------------------------------------
-	start = time.Now()
-	rsp = rt.Begin(rparent, "phase1")
-	a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runDirty(false, dirtyComp, resolved1,
-		// Cutoff: dirty the callers of routines whose outward summary
-		// moved. Callers live in strictly later callee-first waves (or
-		// this component, already converged), so the marks land ahead
-		// of the walk.
-		func(c int) {
-			for _, ri := range cg.Members(c) {
-				if !a.entrySummaryChanged(prev, ri) {
-					continue
-				}
-				for _, caller := range cg.Callers(ri) {
-					if cc := cg.Component(caller); !resolved1[cc] {
-						dirtyComp[cc] = true
+	a.Stats.Phase1 = stage(asp, "phase1", func(sp obs.Span) {
+		a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runDirty(sp, false, dirtyComp, resolved1,
+			// Cutoff: dirty the callers of routines whose outward summary
+			// moved. Callers live in strictly later callee-first waves (or
+			// this component, already converged), so the marks land ahead
+			// of the walk.
+			func(c int) {
+				for _, ri := range cg.Members(c) {
+					if !a.entrySummaryChanged(prev, ri) {
+						continue
+					}
+					for _, caller := range cg.Callers(ri) {
+						if cc := cg.Component(caller); !resolved1[cc] {
+							dirtyComp[cc] = true
+						}
 					}
 				}
-			}
-		})
-	a.Stats.Phase1 = time.Since(start)
-	rt.Arg(rsp, "iterations", int64(a.Stats.Phase1Iterations))
-	rt.End(rsp)
+			})
+		sp.Arg("waves", int64(a.Stats.Phase1Waves)).Arg("iterations", int64(a.Stats.Phase1Iterations))
+	})
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
 
 	// ---- phase 2 -------------------------------------------------------
-	start = time.Now()
-	rsp = rt.Begin(rparent, "phase2")
-	if shapeSame && a.linksUnchanged(prev, dirty, oldGraphs) {
-		pg := prev.PSG
-		g.retStart, g.retSiteIDs = pg.retStart, pg.retSiteIDs
-		g.depStart, g.depExitIDs = pg.depStart, pg.depExitIDs
-	} else {
-		g.linkReturnSites(conf)
-	}
-	copy(dirty2, resolved1)
-	markCallees := func(pg *callgraph.Graph, ri int) {
-		for _, t := range pg.Callees(ri) {
-			if t < nNew {
-				dirty2[cg.Component(t)] = true
+	a.Stats.Phase2 = stage(asp, "phase2", func(sp obs.Span) {
+		if shapeSame && a.linksUnchanged(prev, dirty, oldGraphs) {
+			pg := prev.PSG
+			g.retStart, g.retSiteIDs = pg.retStart, pg.retSiteIDs
+			g.depStart, g.depExitIDs = pg.depStart, pg.depExitIDs
+		} else {
+			g.linkReturnSites(conf)
+		}
+		copy(dirty2, resolved1)
+		markCallees := func(pg *callgraph.Graph, ri int) {
+			for _, t := range pg.Callees(ri) {
+				if t < nNew {
+					dirty2[cg.Component(t)] = true
+				}
 			}
 		}
-	}
-	for _, ri := range dirty {
-		// The edit may have added or removed call sites; the previous
-		// and the current callees' exits both see their return-site link
-		// structure change.
-		markCallees(cg, ri)
-		if ri < nOld {
-			markCallees(prevCG, ri)
-		}
-	}
-	for ri := nNew; ri < nOld; ri++ {
-		// Removed routines take their call sites with them.
-		markCallees(prevCG, ri)
-	}
-	if conf.LinkIndirectCalls {
-		indirectRets := aggChanged
 		for _, ri := range dirty {
-			indirectRets = indirectRets || cg.HasIndirectCall(ri) || (ri < nOld && prevCG.HasIndirectCall(ri))
+			// The edit may have added or removed call sites; the previous
+			// and the current callees' exits both see their return-site link
+			// structure change.
+			markCallees(cg, ri)
+			if ri < nOld {
+				markCallees(prevCG, ri)
+			}
 		}
 		for ri := nNew; ri < nOld; ri++ {
-			indirectRets = indirectRets || prevCG.HasIndirectCall(ri)
+			// Removed routines take their call sites with them.
+			markCallees(prevCG, ri)
 		}
-		if indirectRets {
-			// Indirect return sites link to every address-taken exit;
-			// any change to the site population re-links them all.
-			for _, ri := range cg.AddressTaken() {
-				dirty2[cg.Component(ri)] = true
+		if conf.LinkIndirectCalls {
+			indirectRets := aggChanged
+			for _, ri := range dirty {
+				indirectRets = indirectRets || cg.HasIndirectCall(ri) || (ri < nOld && prevCG.HasIndirectCall(ri))
+			}
+			for ri := nNew; ri < nOld; ri++ {
+				indirectRets = indirectRets || prevCG.HasIndirectCall(ri)
+			}
+			if indirectRets {
+				// Indirect return sites link to every address-taken exit;
+				// any change to the site population re-links them all.
+				for _, ri := range cg.AddressTaken() {
+					dirty2[cg.Component(ri)] = true
+				}
 			}
 		}
-	}
-	a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runDirty(true, dirty2, resolved2,
-		// Cutoff: a callee's exits re-read our return nodes through
-		// their return-site links; only a return node whose liveness
-		// moved can disturb them. Callee components sit in strictly
-		// later caller-first waves (or in this one, already converged).
-		func(c int) {
-			snap := sched.retSnapshot(c)
-			for _, nid := range sched.nodes(c) {
-				n := &g.Nodes[nid]
-				if n.Kind != NodeReturn {
-					continue
-				}
-				changed := !clean[n.Routine] || snap[0] != n.MayUse
-				snap = snap[1:]
-				if !changed {
-					continue
-				}
-				for _, x := range g.exitDeps(n.ID) {
-					if xc := sched.nodeComp[x]; int(xc) != c && !resolved2[xc] {
-						dirty2[xc] = true
+		a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runDirty(sp, true, dirty2, resolved2,
+			// Cutoff: a callee's exits re-read our return nodes through
+			// their return-site links; only a return node whose liveness
+			// moved can disturb them. Callee components sit in strictly
+			// later caller-first waves (or in this one, already converged).
+			func(c int) {
+				snap := sched.retSnapshot(c)
+				for _, nid := range sched.nodes(c) {
+					n := &g.Nodes[nid]
+					if n.Kind != NodeReturn {
+						continue
+					}
+					changed := !clean[n.Routine] || snap[0] != n.MayUse
+					snap = snap[1:]
+					if !changed {
+						continue
+					}
+					for _, x := range g.exitDeps(n.ID) {
+						if xc := sched.nodeComp[x]; int(xc) != c && !resolved2[xc] {
+							dirty2[xc] = true
+						}
 					}
 				}
-			}
-		})
-	a.Stats.Phase2 = time.Since(start)
-	rt.Arg(rsp, "iterations", int64(a.Stats.Phase2Iterations))
-	rt.End(rsp)
+			})
+		sp.Arg("waves", int64(a.Stats.Phase2Waves)).Arg("iterations", int64(a.Stats.Phase2Iterations))
+	})
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
 
 	// ---- finish --------------------------------------------------------
 	inc := &IncrementalStats{DirtyRoutines: len(dirty), ShapePreserving: shapeSame}
-	// Summaries of unresolved components are byte-equal to prev's: their
-	// converged node sets were carried over verbatim and their
-	// SavedRestored did not move (a moved set seeds phase-1 dirtiness).
-	// Routines the patch added sit past prev's table.
-	a.Summaries = ownOrCopy(own, prev.Summaries, nNew)
-	for ri := nOld; ri < nNew; ri++ {
-		a.Summaries[ri] = a.collectSummary(ri)
-	}
-	for c := 0; c < nComp; c++ {
-		if resolved1[c] {
-			inc.Phase1Components++
+	stage(asp, "summaries", func(obs.Span) {
+		// Summaries of unresolved components are byte-equal to prev's: their
+		// converged node sets were carried over verbatim and their
+		// SavedRestored did not move (a moved set seeds phase-1 dirtiness).
+		// Routines the patch added sit past prev's table.
+		a.Summaries = ownOrCopy(own, prev.Summaries, nNew)
+		for ri := nOld; ri < nNew; ri++ {
+			a.Summaries[ri] = a.collectSummary(ri)
 		}
-		if resolved2[c] {
-			inc.Phase2Components++
-		}
-		if resolved1[c] || resolved2[c] {
-			inc.ResolvedComponents++
-			for _, ri := range cg.Members(c) {
-				a.Summaries[ri] = a.collectSummary(ri)
+		for c := 0; c < nComp; c++ {
+			if resolved1[c] {
+				inc.Phase1Components++
+			}
+			if resolved2[c] {
+				inc.Phase2Components++
+			}
+			if resolved1[c] || resolved2[c] {
+				inc.ResolvedComponents++
+				for _, ri := range cg.Members(c) {
+					a.Summaries[ri] = a.collectSummary(ri)
+				}
 			}
 		}
-	}
-	inc.ReusedComponents = nComp - inc.ResolvedComponents
-	a.Incremental = inc
-	a.collectCountsIncremental(prev, dirty, oldGraphs, shapeSame)
-	a.prepareQueries()
+		inc.ReusedComponents = nComp - inc.ResolvedComponents
+		a.Incremental = inc
+		a.collectCountsIncremental(prev, dirty, oldGraphs, shapeSame)
+		a.prepareQueries()
+	})
 	asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
 		Arg("reused_components", int64(inc.ReusedComponents))
 	a.publishMetrics(wlGets0, wlNews0, duGets0, duNews0)
@@ -916,14 +910,16 @@ func (s *phaseSched) prepPhase1Comp(c int) {
 // each wave, concurrently, and then marking each one resolved and
 // running its cutoff, which may dirty components of later waves. Before
 // a component is re-solved for the first time its return nodes'
-// previous liveness is snapshotted for the phase-2 cutoff.
-func (s *phaseSched) runDirty(phase2 bool, dirty, resolved []bool, cutoff func(c int)) (waves, iters int, cpu time.Duration) {
-	schedule, po := s.cg.CalleeFirstWaves(), &s.obs1
+// previous liveness is snapshotted for the phase-2 cutoff. The waves
+// and component solves are traced under phase like runWaves's; the
+// component-iterations histograms stay the from-scratch solve's.
+func (s *phaseSched) runDirty(phase obs.Span, phase2 bool, dirty, resolved []bool, cutoff func(c int)) (waves, iters int, cpu time.Duration) {
+	schedule, po, solve := s.cg.CalleeFirstWaves(), &s.obs1, (*phaseSched).resolve1
 	if phase2 {
-		schedule, po = s.cg.CallerFirstWaves(), &s.obs2
+		schedule, po, solve = s.cg.CallerFirstWaves(), &s.obs2, (*phaseSched).resolve2
 	}
 	var todo, counts []int
-	for _, wave := range schedule {
+	for wi, wave := range schedule {
 		if s.cancelled() {
 			break
 		}
@@ -939,7 +935,7 @@ func (s *phaseSched) runDirty(phase2 bool, dirty, resolved []bool, cutoff func(c
 		}
 		waves++
 		counts = append(counts[:0], make([]int, len(todo))...)
-		cpu += s.resolveAll(phase2, todo, counts)
+		cpu += s.solveWave(phase, phase2, wi, todo, counts, solve)
 		for i, c := range todo {
 			iters += counts[i]
 			resolved[c] = true
@@ -950,32 +946,28 @@ func (s *phaseSched) runDirty(phase2 bool, dirty, resolved []bool, cutoff func(c
 	return waves, iters, cpu
 }
 
-// resolveAll re-solves the components comps on the worker pool,
-// recording each one's iteration count in counts. A phase-1 re-solve
-// restarts the component from its prepared starting state and
-// snapshots the converged MAY-USE right away (later-wave preps and the
-// summary collection read phase1Use uniformly for reused and re-solved
-// components alike); a phase-2 re-solve restarts liveness from empty.
-func (s *phaseSched) resolveAll(phase2 bool, comps, counts []int) time.Duration {
+// resolve1 re-solves component c's phase 1, restarting it from its
+// prepared starting state, and snapshots the converged MAY-USE right
+// away (later-wave preps and the summary collection read phase1Use
+// uniformly for reused and re-solved components alike). It returns the
+// worklist iterations.
+func (s *phaseSched) resolve1(c int) int {
 	g := s.g
-	return par.ForEachWorker(len(comps), s.workers, func(w, i int) {
-		if s.cancelled() {
-			return
-		}
-		c := comps[i]
-		if phase2 {
-			for _, nid := range s.nodes(c) {
-				g.Nodes[nid].MayUse = regset.Empty
-			}
-			counts[i] = s.solvePhase2(c)
-			return
-		}
-		s.prepPhase1Comp(c)
-		counts[i] = s.solvePhase1(c)
-		for _, nid := range s.nodes(c) {
-			g.Nodes[nid].phase1Use = g.Nodes[nid].MayUse
-		}
-	})
+	s.prepPhase1Comp(c)
+	n := s.solvePhase1(c)
+	for _, nid := range s.nodes(c) {
+		g.Nodes[nid].phase1Use = g.Nodes[nid].MayUse
+	}
+	return n
+}
+
+// resolve2 re-solves component c's phase 2, restarting liveness from
+// empty, and returns the worklist iterations.
+func (s *phaseSched) resolve2(c int) int {
+	for _, nid := range s.nodes(c) {
+		s.g.Nodes[nid].MayUse = regset.Empty
+	}
+	return s.solvePhase2(c)
 }
 
 // entrySummaryChanged compares routine ri's outward entry summary — the

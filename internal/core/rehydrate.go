@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
+	"repro/internal/obs"
 	"repro/internal/prog"
 	"repro/internal/regset"
 )
@@ -235,25 +235,21 @@ func RehydrateContext(ctx context.Context, p *prog.Program, st *SavedState, opts
 	workers := conf.Workers()
 	a := &Analysis{Prog: p, Config: conf}
 	a.Stats.Parallelism = workers
-	th := conf.Tracer.MainThread()
-	asp := th.Begin("rehydrate").Arg("routines", int64(len(p.Routines)))
+	asp := conf.Tracer.Begin("rehydrate").
+		Arg("routines", int64(len(p.Routines))).
+		Arg("workers", int64(workers))
 	defer asp.End()
 
-	start := time.Now()
-	a.Graphs, a.Stats.CFGBuildCPU = cfg.BuildAllTraced(p, workers, conf.Tracer)
-	a.Stats.CFGBuild = time.Since(start)
-	start = time.Now()
-	a.Stats.InitCPU = cfg.ComputeDefUBDAllTraced(a.Graphs, workers, conf.Tracer)
-	a.Stats.Init = time.Since(start)
+	a.buildGraphs(asp, workers)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: rehydrate: %w", err)
 	}
 
-	start = time.Now()
-	a.callGraph = callgraph.Build(p,
-		callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
-		callgraph.WithObs(conf.Tracer, conf.Metrics))
-	a.Stats.CallGraphBuild = time.Since(start)
+	a.Stats.CallGraphBuild = stage(asp, "callgraph build", func(sp obs.Span) {
+		a.callGraph = callgraph.Build(p,
+			callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
+			callgraph.WithObs(sp, conf.Metrics))
+	})
 	a.Stats.SCCComponents = a.callGraph.NumComponents()
 	if err := st.checkCondensation(a.callGraph); err != nil {
 		return nil, err

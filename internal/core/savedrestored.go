@@ -87,7 +87,7 @@ func (fs *frameSlabs) growSlabs(n, code int) {
 // re-scans the prologues and epilogues of the disciplined routines,
 // invalidating any save slot a body store or a deeper-stacked call may
 // have overwritten.
-func (g *PSG) computeSavedRestored(workers int, tr *obs.Tracer) time.Duration {
+func (g *PSG) computeSavedRestored(workers int, sp obs.Span) time.Duration {
 	n := len(g.Prog.Routines)
 	g.SavedRestored = make([]regset.Set, n)
 	g.frames = make([]FrameFact, n)
@@ -114,7 +114,7 @@ func (g *PSG) computeSavedRestored(workers int, tr *obs.Tracer) time.Duration {
 	fs.growSlabs(n, off[n])
 	infos := fs.infos
 
-	d := par.ForEachSpan(tr, "saved-restored-scan", n, workers, func(ri int) {
+	d := par.ForEachSpan(sp, "saved-restored-scan", n, workers, func(ri int) {
 		lo, hi := off[ri], off[ri+1]
 		bufs := &fs.perR[ri]
 		scratch := frameScratch{
@@ -141,7 +141,7 @@ func (g *PSG) computeSavedRestored(workers int, tr *obs.Tracer) time.Duration {
 	}
 	preserving := solvePreserving(g.frames, callees, addrTaken)
 
-	d += par.ForEachSpan(tr, "saved-restored", n, workers, func(ri int) {
+	d += par.ForEachSpan(sp, "saved-restored", n, workers, func(ri int) {
 		// localSaved is computed for every clean-frame routine, not only
 		// the preserving ones: it depends solely on the routine's own
 		// body, so the incremental re-analysis can re-run the call-graph

@@ -42,8 +42,7 @@ func ForEach(n, workers int, fn func(i int)) time.Duration {
 // alongside the item index: fn(w, i) with w in [0, min(workers, n)).
 // A given worker id runs on exactly one goroutine for the duration of
 // the call (worker 0 is the calling goroutine in the serial case), so
-// per-worker state — an obs.Thread span buffer in particular — needs
-// no synchronization inside fn.
+// per-worker state needs no synchronization inside fn.
 func ForEachWorker(n, workers int, fn func(worker, i int)) time.Duration {
 	if n <= 0 {
 		return 0
@@ -84,25 +83,16 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) time.Duration {
 }
 
 // ForEachSpan is ForEach with per-item occupancy spans: each item i is
-// wrapped in a span named name (annotated with the item index) on the
-// owning worker's trace thread, so a Perfetto capture shows pool
-// utilization and stragglers per stage. Worker threads are resolved
-// before the pool starts; the items themselves record spans lock-free.
-// A nil tracer delegates straight to ForEach.
-func ForEachSpan(tr *obs.Tracer, name string, n, workers int, fn func(i int)) time.Duration {
-	if tr == nil {
+// wrapped in a span named name (annotated with the item index), a
+// child of parent on the owning worker's track, so a Perfetto capture
+// shows pool utilization and stragglers per stage. A zero parent
+// delegates straight to ForEach.
+func ForEachSpan(parent obs.Span, name string, n, workers int, fn func(i int)) time.Duration {
+	if parent == (obs.Span{}) {
 		return ForEach(n, workers, fn)
 	}
-	nw := Workers(workers)
-	if nw > n {
-		nw = n
-	}
-	threads := make([]*obs.Thread, nw)
-	for w := range threads {
-		threads[w] = tr.WorkerThread(w)
-	}
 	return ForEachWorker(n, workers, func(w, i int) {
-		sp := threads[w].Begin(name).Arg("item", int64(i))
+		sp := parent.Worker(w, name).Arg("item", int64(i))
 		fn(i)
 		sp.End()
 	})

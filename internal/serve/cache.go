@@ -196,21 +196,20 @@ func finishedEntry(a *core.Analysis, metrics obs.Snapshot) *analysisEntry {
 // request that reads it. It renders no document: point queries never
 // need one.
 //
-// rt/span belong to the request that created the entry: the analysis
-// records its per-stage spans under span, and span is closed here —
-// not by the creator — so the tree stays truthful even when the
-// creating request abandons and another waiter inherits the compute.
-// Both are nil/NoSpan when that request was untraced.
-func (e *analysisEntry) compute(ctx context.Context, p *prog.Program, o api.Options, parallel int, rt *obs.RequestTrace, span obs.RSpan) {
+// tr is the tree of the request that created the entry, positioned
+// under its root: the analysis records its "analyze" span and stages
+// there and closes them itself, so the tree stays truthful even when
+// the creating request abandons and another waiter inherits the
+// compute. tr is nil when that request was untraced.
+func (e *analysisEntry) compute(ctx context.Context, p *prog.Program, o api.Options, parallel int, tr *obs.Tracer) {
 	m := obs.NewMetrics()
 	a, err := core.AnalyzeContext(ctx, p,
 		o.AnalysisOptions(core.WithParallelism(parallel), core.WithMetrics(m),
-			core.WithRequestSpans(rt, span))...)
+			core.WithTracer(tr))...)
 	if err == nil {
 		e.a = a
 		e.metrics = m.Snapshot()
 	}
-	rt.End(span)
 	e.err = err
 	e.mu.Lock()
 	e.finished = true

@@ -72,7 +72,7 @@ func (r *slowRing) snapshot() []api.SlowQuery {
 // per-stage latency breakdown (every non-root span, recording order).
 func (s *Server) recordSlow(rt *obs.RequestTrace) {
 	s.slowCount.Add(1)
-	spans := rt.Spans()
+	spans := rt.Tracer().Spans()
 	q := api.SlowQuery{
 		RequestID:  rt.ID,
 		Route:      rt.Route,
@@ -145,8 +145,13 @@ func (s *Server) handleDebugTrace(r *http.Request) (int, any) {
 		}
 		last = n
 	}
+	traces := s.flight.Last(last)
+	trees := make([]*obs.Tracer, len(traces))
+	for i, rt := range traces {
+		trees[i] = rt.Tracer()
+	}
 	var buf bytes.Buffer
-	if err := obs.WriteRequestTraces(&buf, s.flight.Last(last)); err != nil {
+	if err := obs.WriteTraces(&buf, trees...); err != nil {
 		return errResp(http.StatusInternalServerError, "trace export: %v", err)
 	}
 	return http.StatusOK, rawResponse{contentType: "application/json", data: buf.Bytes()}

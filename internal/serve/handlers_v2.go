@@ -89,12 +89,9 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 	info := api.ProgramInfoOf(patched, canonical)
 
 	m := obs.NewMetrics()
-	rt := obs.TraceFrom(r.Context())
-	rsp := rt.Begin(rt.Root(), "reanalyze")
 	inc, err := core.ReanalyzeContext(r.Context(), ent.a, patched,
 		req.Options.AnalysisOptions(core.WithParallelism(s.conf.Parallelism), core.WithMetrics(m),
-			core.WithRequestSpans(rt, rsp))...)
-	rt.End(rsp)
+			core.WithTracer(obs.TraceFrom(r.Context()).Tracer()))...)
 	if err != nil {
 		return errRespV(schema, v2Status(err), "reanalyze: %v", err)
 	}
@@ -156,14 +153,13 @@ func (s *Server) handleOptimize(r *http.Request) (int, any) {
 	s.anaMisses.Add(1)
 
 	m := obs.NewMetrics()
-	rt := obs.TraceFrom(r.Context())
-	osp := rt.Begin(rt.Root(), "optimize")
+	osp := obs.TraceFrom(r.Context()).Tracer().Begin("optimize")
 	opts := req.OptOptions()
 	opts.Analysis = core.NewConfig(req.Options.AnalysisOptions(
 		core.WithParallelism(s.conf.Parallelism), core.WithMetrics(m),
-		core.WithRequestSpans(rt, osp))...)
+		core.WithTracer(osp.Tracer()))...)
 	out, fa, rep, err := opt.OptimizeAnalyzed(lp.prog, opts)
-	rt.End(osp)
+	osp.End()
 	if err != nil {
 		return errRespV(schema, v2Status(err), "optimize: %v", err)
 	}
@@ -321,7 +317,8 @@ func (s *Server) snapshotLoad(ctx context.Context, req *api.SnapshotRequest) (in
 	}
 	m := obs.NewMetrics()
 	a, err := snap.RestoreContext(ctx, lp.prog,
-		o.AnalysisOptions(core.WithParallelism(s.conf.Parallelism), core.WithMetrics(m))...)
+		o.AnalysisOptions(core.WithParallelism(s.conf.Parallelism), core.WithMetrics(m),
+			core.WithTracer(obs.TraceFrom(ctx).Tracer()))...)
 	if err != nil {
 		return errRespV(schema, v2Status(err), "snapshot load: %v", err)
 	}

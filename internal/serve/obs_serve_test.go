@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,7 +29,7 @@ import (
 // shape: one "name parent [k=v ...]" line per span in recording order.
 // At parallelism 1 every field is deterministic, so the projection can
 // be pinned as a golden.
-func normalizeSpans(spans []obs.ReqSpan) string {
+func normalizeSpans(spans []obs.SpanData) string {
 	var b strings.Builder
 	for _, sp := range spans {
 		fmt.Fprintf(&b, "%s parent=%d", sp.Name, sp.Parent)
@@ -71,10 +72,10 @@ func TestRequestSpanGolden(t *testing.T) {
 	if rt.Status() != http.StatusOK {
 		t.Errorf("trace status = %d", rt.Status())
 	}
-	spans := rt.Spans()
+	spans := rt.Tracer().Spans()
 	for i, sp := range spans {
 		if i == 0 {
-			if sp.Parent != obs.NoSpan {
+			if sp.Parent != -1 {
 				t.Errorf("root parent = %d", sp.Parent)
 			}
 			continue
@@ -104,6 +105,69 @@ func TestRequestSpanGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("request span tree drifted from golden (run with -update):\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestOptimizeSpansNest traces one /v1/optimize: the children of its
+// "optimize" span are one "analyze" followed by one "reanalyze" per
+// re-analysis the report counts, each holding its own stage spans, and
+// no span repeats an arg key.
+func TestOptimizeSpansNest(t *testing.T) {
+	s, c := newTestClient(t, Config{FlightRecorder: 8})
+	id := c.mustLoad()
+	status, body := c.post("/v1/optimize", api.OptimizeRequest{Program: id})
+	if status != http.StatusOK {
+		t.Fatalf("optimize: status %d: %s", status, body)
+	}
+	var resp api.OptimizeResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Report.Reanalyses == 0 {
+		t.Fatal("the test program's optimize ran no re-analysis")
+	}
+	last := s.flight.Last(1)
+	if len(last) != 1 || last[0].Route != "optimize" {
+		t.Fatal("flight recorder's last request is not the optimize")
+	}
+	spans := last[0].Tracer().Spans()
+	optIdx := int32(-1)
+	children := map[int32][]string{}
+	for i, sp := range spans {
+		if sp.Name == "optimize" && sp.Parent == 0 {
+			optIdx = int32(i)
+		}
+		if sp.Parent >= 0 {
+			children[sp.Parent] = append(children[sp.Parent], sp.Name)
+		}
+		seen := map[string]bool{}
+		for _, a := range sp.Args() {
+			if seen[a.Key] {
+				t.Errorf("span %q repeats arg %q: %v", sp.Name, a.Key, sp.Args())
+			}
+			seen[a.Key] = true
+		}
+	}
+	if optIdx < 0 {
+		t.Fatal("no optimize span under the request root")
+	}
+	want := []string{"analyze"}
+	for i := 0; i < resp.Report.Reanalyses; i++ {
+		want = append(want, "reanalyze")
+	}
+	if got := children[optIdx]; !slices.Equal(got, want) {
+		t.Errorf("optimize children = %v, want %v", got, want)
+	}
+	for i, sp := range spans {
+		if sp.Parent != optIdx {
+			continue
+		}
+		stages := children[int32(i)]
+		for _, st := range []string{"cfg build", "psg build", "phase1", "phase2", "summaries"} {
+			if !slices.Contains(stages, st) {
+				t.Errorf("%s span %d lacks stage %q (has %v)", sp.Name, i, st, stages)
+			}
+		}
 	}
 }
 

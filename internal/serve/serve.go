@@ -426,32 +426,29 @@ func (s *Server) analysis(ctx context.Context, lp *loadedProgram, o api.Options)
 		v, created := s.analyses.getOrCreate(key, func() any { return newAnalysisEntry() })
 		ent := v.(*analysisEntry)
 		// The request's span tree attributes the cache outcome: the
-		// creator records "cache miss" and hands the open "analyze" span
-		// to the compute goroutine (which closes it when the analysis
-		// converges, even if this request abandons); a request that
-		// finds a finished entry records "cache hit"; one that joins an
-		// in-flight compute records the time spent in "singleflight
-		// wait".
-		waitSpan := obs.NoSpan
+		// creator records "cache miss" and hands its tree to the compute
+		// goroutine, whose analysis opens the "analyze" span under the
+		// root (and closes it when the analysis converges, even if this
+		// request abandons); a request that finds a finished entry
+		// records "cache hit"; one that joins an in-flight compute
+		// records the time spent in "singleflight wait".
+		var waitSpan obs.Span
 		if created {
 			s.anaMisses.Add(1)
-			missSpan := rt.Begin(rt.Root(), "cache miss")
-			rt.End(missSpan)
+			rt.Tracer().Begin("cache miss").End()
 			cctx, cancel := context.WithCancel(context.Background())
 			ent.cancel = cancel
-			go ent.compute(cctx, lp.prog, o, s.conf.Parallelism,
-				rt, rt.Begin(rt.Root(), "analyze"))
+			go ent.compute(cctx, lp.prog, o, s.conf.Parallelism, rt.Tracer())
 		} else {
 			s.anaHits.Add(1)
 			if ent.ready() {
-				hitSpan := rt.Begin(rt.Root(), "cache hit")
-				rt.End(hitSpan)
+				rt.Tracer().Begin("cache hit").End()
 			} else {
-				waitSpan = rt.Begin(rt.Root(), "singleflight wait")
+				waitSpan = rt.Tracer().Begin("singleflight wait")
 			}
 		}
 		abandoned, err := ent.wait(ctx)
-		rt.End(waitSpan)
+		waitSpan.End()
 		if err == nil {
 			return ent, nil
 		}

@@ -349,7 +349,7 @@ func lastSpanNames(t *testing.T, s *Server, route string) map[string]bool {
 		t.Fatalf("flight recorder's last request is not a %s request", route)
 	}
 	names := map[string]bool{}
-	for _, sp := range last[0].Spans() {
+	for _, sp := range last[0].Tracer().Spans() {
 		names[sp.Name] = true
 	}
 	return names
