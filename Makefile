@@ -44,7 +44,7 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark, as a smoke test; real numbers come
-# from `go test -bench . -run XXX .` and ./cmd/spikebench.
+# from `go test -bench . -run XXX .` and `spike bench`.
 bench:
 	$(GO) test -bench . -benchtime 1x -run 'XXX' ./...
 
@@ -80,7 +80,7 @@ bench-compare:
 # CPU and heap profiles of the full analysis pipeline at gcc scale;
 # inspect with `go tool pprof cpu.out` / `go tool pprof mem.out`.
 profile: build
-	$(GO) run ./cmd/spikebench -tables 2 -scale 0.3 -q \
+	$(GO) run ./cmd/spike bench -tables 2 -scale 0.3 -q \
 		-cpuprofile cpu.out -memprofile mem.out > /dev/null
 	@echo "wrote cpu.out and mem.out; inspect with: go tool pprof cpu.out"
 
@@ -97,7 +97,7 @@ trace: build
 # assert every response is 200 and a repeated query hits the analysis
 # cache (verified through the /metrics counters).
 serve-smoke:
-	$(GO) run ./cmd/spiked -smoke examples/fig2.s
+	$(GO) run ./cmd/spike serve -smoke examples/fig2.s
 
 # Observability overhead guard: vet plus the tests proving disabled
 # tracing/metrics cost zero allocations and the telemetry is

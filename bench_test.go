@@ -1,7 +1,7 @@
 // Package repro's top-level benchmarks regenerate each of the paper's
 // tables and figures (§4) as testing.B benchmarks. Each benchmark
 // measures the part of the pipeline its table reports; the printed
-// tables themselves come from `go run ./cmd/spikebench -all`.
+// tables themselves come from `go run ./cmd/spike bench -all`.
 //
 // The benchmarks run the profiles at reduced scale so `go test -bench`
 // stays interactive; metrics are reported per run via b.ReportMetric so
@@ -24,7 +24,7 @@ import (
 	"repro/internal/progen"
 )
 
-// benchScale keeps the testing.B benchmarks fast; cmd/spikebench runs
+// benchScale keeps the testing.B benchmarks fast; `spike bench` runs
 // the real thing at scale 1.
 const benchScale = 0.1
 

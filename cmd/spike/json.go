@@ -10,7 +10,7 @@ import (
 )
 
 // writeJSON emits the analysis as the versioned api.AnalysisDoc — the
-// same document the spiked daemon's /v1/analyze endpoint serves, so a
+// same document the daemon's /v1/analyze endpoint serves, so a
 // consumer needs one parser for both. m is the registry the analysis
 // ran with (never nil for the json format). optRep, when non-nil, is
 // the -opt report, embedded under the document's "opt" key so the whole

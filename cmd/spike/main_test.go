@@ -337,35 +337,33 @@ func TestRunMetricsText(t *testing.T) {
 // TestSubcommandArgErrors pins the subcommand flag parsing: missing
 // inputs and unknown flags fail instead of silently doing nothing.
 func TestSubcommandArgErrors(t *testing.T) {
-	if err := analyzeMain([]string{}); err == nil {
-		t.Error("analyze with no input must fail")
-	}
-	if err := analyzeMain([]string{"-no-such-flag", "x"}); err == nil {
-		t.Error("analyze with unknown flag must fail")
-	}
-	if err := checkMain([]string{}); err == nil {
-		t.Error("check with no input must fail")
+	for _, args := range [][]string{
+		{"analyze"},
+		{"analyze", "-no-such-flag", "x"},
+		{"check"},
+		{"dump"},
+		{"layout", "a", "b"},
+		{"gen"},
+		{"gen", "-profile", "no-such-profile"},
+		{"bench"},
+		{"top", "stray"},
+	} {
+		if err := dispatch(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("spike %s: accepted", strings.Join(args, " "))
+		}
 	}
 }
 
 // TestCheckSubcommand runs `spike check` end to end on the test
 // program: the harness must come back clean.
 func TestCheckSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "p.s")
-	if err := os.WriteFile(in, []byte(testSrc), 0o644); err != nil {
-		t.Fatal(err)
+	in := writeTestSrc(t, testSrc)
+	var out bytes.Buffer
+	if err := dispatch([]string{"check", "-asm", "-max-steps", "1000000", in}, &out, io.Discard); err != nil {
+		t.Fatalf("spike check: %v\n%s", err, out.String())
 	}
-	// checkMain reports on os.Stdout; park it on /dev/null for the test.
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-	if err := checkMain([]string{"-asm", "-max-steps", "1000000", in}); err != nil {
-		t.Fatalf("spike check: %v", err)
+	if !strings.Contains(out.String(), "oracles clean") {
+		t.Errorf("spike check output:\n%s", out.String())
 	}
 }
 

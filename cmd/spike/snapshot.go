@@ -21,14 +21,12 @@ import (
 )
 
 // snapshotMain is `spike snapshot <save|load> [flags] input snapfile`.
-func snapshotMain(args []string) error {
+func snapshotMain(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if len(args) == 0 || (args[0] != "save" && args[0] != "load") {
-		fmt.Fprintln(os.Stderr, "usage: spike snapshot <save|load> [flags] input snapfile")
+		fs.Usage()
 		return fmt.Errorf("snapshot: expected save or load")
 	}
 	sub, args := args[0], args[1:]
-	fs := flag.NewFlagSet("spike snapshot "+sub, flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
 	var (
 		asmIn     = fs.Bool("asm", false, "input is assembly text")
 		openWorld = fs.Bool("open-world", false, "paper §3.5 indirect-call handling")
@@ -36,22 +34,17 @@ func snapshotMain(args []string) error {
 		parallel  = fs.Int("parallel", 0, "analysis worker-pool size (0 = GOMAXPROCS)")
 		summaries = fs.Bool("summaries", false, "print routine summaries after restoring (load)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, 2); err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		fmt.Fprintf(os.Stderr, "usage: spike snapshot %s [flags] input snapfile\n", sub)
-		fs.Usage()
-		return fmt.Errorf("expected input and snapfile, got %d arguments", fs.NArg())
-	}
 	input, snapfile := fs.Arg(0), fs.Arg(1)
-	p, canonical, err := readProgram(input, *asmIn)
+	p, _, err := readProgram(input, *asmIn)
 	if err != nil {
 		return err
 	}
 	o := api.Options{OpenWorld: *openWorld, NoBranchNodes: *noBranch}
 	if sub == "save" {
-		return snapshotSave(os.Stdout, p, canonical, o,
+		return snapshotSave(stdout, p, o,
 			o.AnalysisOptions(core.WithParallelism(*parallel)), snapfile)
 	}
 	// Load takes the option set from the snapshot itself; explicit
@@ -63,33 +56,16 @@ func snapshotMain(args []string) error {
 			explicit = true
 		}
 	})
-	return snapshotLoad(os.Stdout, p, o, explicit, *parallel, snapfile, *summaries)
+	return snapshotLoad(stdout, p, o, explicit, *parallel, snapfile, *summaries)
 }
 
-// readProgram loads an SXE image or assembly text and returns the
-// program with its canonical encoding (the identity bytes).
-func readProgram(input string, asmIn bool) (*prog.Program, []byte, error) {
-	data, err := os.ReadFile(input)
-	if err != nil {
-		return nil, nil, err
-	}
-	var p *prog.Program
-	if asmIn {
-		p, err = prog.Assemble(string(data))
-	} else {
-		p, err = sxe.Decode(data)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
+// snapshotSave analyzes p and writes the snapshot, bound to p's
+// identity: the hash of its canonical encoding.
+func snapshotSave(w io.Writer, p *prog.Program, o api.Options, opts []core.Option, snapfile string) error {
 	canonical, err := sxe.Encode(p)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return p, canonical, nil
-}
-
-func snapshotSave(w io.Writer, p *prog.Program, canonical []byte, o api.Options, opts []core.Option, snapfile string) error {
 	start := time.Now()
 	a, err := core.Analyze(p, opts...)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,18 +18,18 @@ func TestSnapshotSaveLoad(t *testing.T) {
 	if err := os.WriteFile(in, []byte(testSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshotMain([]string{"save", "-asm", "-open-world", in, snap}); err != nil {
+	if err := dispatch([]string{"snapshot", "save", "-asm", "-open-world", in, snap}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	if fi, err := os.Stat(snap); err != nil || fi.Size() == 0 {
 		t.Fatalf("snapshot file: %v", err)
 	}
 	// Load without option flags takes the option set from the image.
-	if err := snapshotMain([]string{"load", "-asm", "-summaries", in, snap}); err != nil {
+	if err := dispatch([]string{"snapshot", "load", "-asm", "-summaries", in, snap}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	// Explicit contradicting flags are the typed mismatch.
-	err := snapshotMain([]string{"load", "-asm", "-no-branch-nodes", in, snap})
+	err := dispatch([]string{"snapshot", "load", "-asm", "-no-branch-nodes", in, snap}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "option mismatch") {
 		t.Fatalf("load with wrong options: err = %v, want option mismatch", err)
 	}
@@ -36,13 +37,13 @@ func TestSnapshotSaveLoad(t *testing.T) {
 
 // TestSnapshotArgErrors pins the usage failures.
 func TestSnapshotArgErrors(t *testing.T) {
-	if err := snapshotMain(nil); err == nil {
+	if err := dispatch([]string{"snapshot"}, io.Discard, io.Discard); err == nil {
 		t.Error("no subcommand accepted")
 	}
-	if err := snapshotMain([]string{"rotate"}); err == nil {
+	if err := dispatch([]string{"snapshot", "rotate"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown subcommand accepted")
 	}
-	if err := snapshotMain([]string{"save", "just-one-arg"}); err == nil {
+	if err := dispatch([]string{"snapshot", "save", "just-one-arg"}, io.Discard, io.Discard); err == nil {
 		t.Error("missing snapfile accepted")
 	}
 }

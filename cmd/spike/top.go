@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -24,32 +23,21 @@ import (
 	"repro/internal/api"
 )
 
-func topMain(args []string) error {
-	fs := flag.NewFlagSet("spike top", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+func topMain(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
 		addr     = fs.String("addr", "localhost:8723", "daemon `address` (host:port or full URL)")
 		interval = fs.Duration("interval", 2*time.Second, "poll `interval`")
 		count    = fs.Int("n", 0, "exit after `count` refreshes (0 = until interrupted)")
 		plain    = fs.Bool("plain", false, "append one table per refresh instead of redrawing the screen")
 	)
-	fs.Usage = func() {
-		fmt.Fprint(os.Stderr, "usage: spike top [flags]\n\n"+
-			"Poll a spiked daemon's /metrics endpoint and render a live serving table.\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, 0); err != nil {
 		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	base := *addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return runTop(base, *interval, *count, *plain, os.Stdout)
+	return runTop(base, *interval, *count, *plain, stdout)
 }
 
 // runTop is the poll/render loop, split from flag parsing so tests can

@@ -1,9 +1,9 @@
 // Package api defines the versioned wire format of the analysis
-// service: the request and response documents served by the spiked
-// daemon (internal/serve), emitted by `spike analyze -format=json`,
-// and recorded by the benchmark harness. Every response document
-// carries a schema_version field; consumers reject versions they do
-// not understand instead of misparsing them.
+// service: the request and response documents served by the daemon
+// (internal/serve, run as `spike serve`), emitted by `spike analyze
+// -format=json`, and recorded by the benchmark harness. Every response
+// document carries a schema_version field; consumers reject versions
+// they do not understand instead of misparsing them.
 //
 // Versioning policy (DESIGN.md §10): additions of new optional fields
 // keep the version; any rename, removal or meaning change bumps it.
@@ -289,10 +289,13 @@ type MetricsResponse struct {
 
 // StageDuration attributes part of a request's latency to one named
 // stage (cache lookup, analysis phase, ...), in span-tree recording
-// order.
+// order. Stages nest: Parent is the index in SlowQuery.Stages of the
+// enclosing stage, -1 for a stage directly under the request, so only
+// the top-level stages' durations add up to the request's.
 type StageDuration struct {
 	Name       string `json:"name"`
 	DurationUS int64  `json:"duration_us"`
+	Parent     int    `json:"parent"`
 }
 
 // SlowQuery is one slow-query log record: a request that exceeded the

@@ -26,24 +26,15 @@ type Result struct {
 	// Stats from the default analysis (branch nodes on).
 	Stats core.Stats
 
-	// NoBranchStats from the analysis with branch nodes disabled
-	// (Table 4's comparison).
-	NoBranchStats core.Stats
+	// Comparison holds the Table 4 and Table 5 comparison runs.
+	Comparison
 
 	// Prog holds the generated program's structural statistics.
 	Prog prog.Stats
 
-	// BaselineArcs counts the whole-program CFG's arcs including call
-	// and return arcs (Table 5's comparison).
-	BaselineArcs int
-
 	// HeapDelta is the measured heap growth across the analysis, the
 	// run-time analogue of the paper's memory column.
 	HeapDelta uint64
-
-	// BaselineTime is the time for the whole-program-CFG liveness, the
-	// approach the PSG replaces.
-	BaselineTime time.Duration
 
 	// Metrics is the solver-telemetry snapshot of the default analysis:
 	// worklist traffic, relabels and per-component iteration histograms
@@ -86,18 +77,50 @@ func Run(prof progen.Profile, seed uint64, parallel int) (*Result, error) {
 		res.HeapDelta = after.HeapAlloc - before.HeapAlloc
 	}
 
-	nb, err := core.Analyze(p, core.WithOpenWorld(), core.WithParallelism(parallel),
-		core.WithBranchNodes(false))
-	if err != nil {
+	if res.Comparison, err = Compare(p, core.WithOpenWorld(), core.WithParallelism(parallel)); err != nil {
 		return nil, err
 	}
-	res.NoBranchStats = nb.Stats
-
-	start := time.Now()
-	sg, _ := baseline.Analyze(p, baseline.WithOpenWorld(), baseline.WithParallelism(parallel))
-	res.BaselineTime = time.Since(start)
-	res.BaselineArcs = sg.NumArcs()
 	return res, nil
+}
+
+// Comparison is what Tables 4 and 5 set a PSG against: the same
+// analysis without branch nodes, and the whole-program CFG the PSG
+// replaces.
+type Comparison struct {
+	// NoBranchStats from the analysis with branch nodes disabled
+	// (Table 4's comparison).
+	NoBranchStats core.Stats
+
+	// BaselineArcs counts the whole-program CFG's arcs including call
+	// and return arcs (Table 5's comparison).
+	BaselineArcs int
+
+	// BaselineTime is the time for the whole-program-CFG liveness, the
+	// approach the PSG replaces.
+	BaselineTime time.Duration
+}
+
+// Compare runs the comparison analyses of p under the analysis
+// options opts: core with branch nodes disabled, and the
+// whole-program-CFG baseline in the same world model and worker-pool
+// size.
+func Compare(p *prog.Program, opts ...core.Option) (Comparison, error) {
+	conf := core.NewConfig(opts...)
+	nb, err := core.Analyze(p, core.WithConfig(conf), core.WithBranchNodes(false))
+	if err != nil {
+		return Comparison{}, err
+	}
+	bopts := []baseline.Option{baseline.WithParallelism(conf.Parallelism)}
+	if !conf.LinkIndirectCalls {
+		bopts = append(bopts, baseline.WithOpenWorld())
+	}
+	start := time.Now()
+	sg, _ := baseline.Analyze(p, bopts...)
+	return Comparison{
+		NoBranchStats: nb.Stats,
+		BaselineArcs:  sg.NumArcs(),
+		BaselineTime:  time.Since(start),
+	}, nil
 }
 
 // RunAll measures every paper profile at the given scale (1.0 =

@@ -9,8 +9,8 @@ import (
 )
 
 // smallResults runs the harness over heavily scaled-down profiles so
-// the unit tests stay fast; the full-scale run lives in cmd/spikebench
-// and the repository benchmarks.
+// the unit tests stay fast; the full-scale run is `spike bench` and
+// the repository benchmarks.
 func smallResults(t *testing.T) []*Result {
 	t.Helper()
 	var out []*Result

@@ -41,7 +41,7 @@ func (r *Result) Doc() ResultDoc {
 	}
 }
 
-// BenchDoc is the versioned document `spikebench -json` emits.
+// BenchDoc is the versioned document `spike bench -json` emits.
 type BenchDoc struct {
 	SchemaVersion string      `json:"schema_version"`
 	Results       []ResultDoc `json:"results"`

@@ -14,8 +14,8 @@ import (
 // the spirit of a leaked-internal-reference lint: no non-test Go file
 // under internal/ (outside internal/check itself) or examples/ may
 // import this package. An analysis or optimizer path that called an
-// oracle would no longer be checked independently. cmd/spike
-// (-selfcheck) and perfbench's correctness gate remain the allowed
+// oracle would no longer be checked independently. cmd/spike (`spike
+// check`) and perfbench's correctness gate remain the allowed
 // importers.
 func TestOracleBoundary(t *testing.T) {
 	const self = "repro/internal/check"

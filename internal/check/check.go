@@ -30,7 +30,7 @@
 //
 // The oracles report Violations rather than failing a *testing.T, so
 // the same harness backs the package's tests, the fuzz targets, the
-// soak runs (make soak) and the spike -selfcheck flag.
+// soak runs (make soak) and `spike check`.
 package check
 
 import (

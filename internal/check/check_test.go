@@ -61,7 +61,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 }
 
 // TestViolationString pins the two report formats the soak log and
-// spike -selfcheck print.
+// `spike check` print.
 func TestViolationString(t *testing.T) {
 	v := Violation{Oracle: "dynamic", Rule: "dynamic-use-subset", Routine: "f", Detail: "x"}
 	if got := v.String(); got != "[dynamic] dynamic-use-subset: routine f: x" {

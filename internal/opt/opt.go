@@ -113,13 +113,6 @@ func Optimize(p *prog.Program, opts Options) (*prog.Program, *Report, error) {
 // state, which is exactly what a from-scratch analysis of the result
 // would produce. Servers cache it instead of re-solving.
 func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 4
-	}
-	m := opts.Analysis.Metrics
-	workers := opts.Analysis.Workers()
-	rep := &Report{InstructionsBefore: p.NumInstructions()}
-
 	// Pre-existing nops are folded away once, before the first
 	// analysis, so the warm-start loop only ever compacts its own edit
 	// sets.
@@ -129,6 +122,40 @@ func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analy
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	return optimize(a, p.NumInstructions(), opts)
+}
+
+// OptimizeFrom is OptimizeAnalyzed for a caller that already holds
+// prev, the analysis of prev.Prog under opts.Analysis: the optimizer
+// starts from it instead of analyzing the program again. When the
+// program holds nops, the compacted clone is re-analyzed warm from
+// prev. Neither prev nor prev.Prog is modified, and prev stays
+// queryable; the optimized program may share the routines no pass
+// edited with prev.Prog. The result is the one OptimizeAnalyzed
+// returns for prev.Prog.
+func OptimizeFrom(prev *core.Analysis, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
+	a := prev
+	if cur := prev.Prog.Clone(); Compact(cur) > 0 {
+		var err error
+		if a, err = core.Reanalyze(prev, cur, core.WithConfig(opts.Analysis)); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return optimize(a, prev.Prog.NumInstructions(), opts)
+}
+
+// optimize runs the pass loop from a, the analysis of the nop-free
+// program to optimize; before is the instruction count of the
+// caller's input. a is never modified: every pass edits a
+// copy-on-write view and re-analyzes into a fresh analysis.
+func optimize(a *core.Analysis, before int, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
+	if opts.MaxRounds <= 0 {
+		opts.MaxRounds = 4
+	}
+	m := opts.Analysis.Metrics
+	workers := opts.Analysis.Workers()
+	rep := &Report{InstructionsBefore: before}
+	var err error
 
 	// Pass order matters: the save/restore reassignment (d) and spill
 	// removal (c) must see the compiler's patterns before dead-code

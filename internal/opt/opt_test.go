@@ -1,12 +1,15 @@
 package opt
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/progen"
 	"repro/internal/regset"
 )
 
@@ -376,6 +379,79 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	}
 	if p.NumInstructions() != before {
 		t.Error("Optimize mutated its input")
+	}
+}
+
+// TestOptimizeFromMatchesOptimize pins OptimizeFrom's contract on a
+// generated program and on one holding nops (so the compaction
+// re-analysis runs): started from a caller's analysis of the input, it
+// produces Optimize's bytes and report, leaves the input program as it
+// was, and leaves the caller's analysis answering every summary and
+// liveness query as a fresh analysis of the input does.
+func TestOptimizeFromMatchesOptimize(t *testing.T) {
+	prof, _ := progen.ProfileByName("li")
+	withNops := prog.MustAssemble(`
+.start main
+.routine main
+  nop
+  lda a0, 5(zero)
+  lda a1, 9(zero)   ; dead: double ignores a1
+  nop
+  jsr double
+  print v0
+  halt
+.routine double
+  beq a0, done
+  nop
+  add v0, a0, a0
+done:
+  nop
+  ret
+`)
+	// answers renders every summary and per-instruction liveness query.
+	answers := func(a *core.Analysis) string {
+		var b strings.Builder
+		for ri, r := range a.Prog.Routines {
+			fmt.Fprintf(&b, "%+v\n", a.Summary(ri))
+			for i := range r.Code {
+				before, after, err := a.LivenessAt(ri, i)
+				fmt.Fprintf(&b, "%d/%d %v %v %v\n", ri, i, before, after, err)
+			}
+		}
+		return b.String()
+	}
+	for name, p := range map[string]*prog.Program{
+		"li":   progen.Generate(prof.Scale(0.1), progen.PaperOptOptions(3)),
+		"nops": withNops,
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, wantRep, err := Optimize(p, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.Analyze(p.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev, err := core.Analyze(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			input := prog.Disassemble(p)
+			got, _, gotRep, err := OptimizeFrom(prev, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.Disassemble(got) != prog.Disassemble(want) || *gotRep != *wantRep {
+				t.Errorf("OptimizeFrom differs from Optimize: report %+v, want %+v", gotRep, wantRep)
+			}
+			if prog.Disassemble(p) != input {
+				t.Error("OptimizeFrom modified the input program")
+			}
+			if answers(prev) != answers(ref) {
+				t.Error("OptimizeFrom modified the caller's analysis")
+			}
+		})
 	}
 }
 

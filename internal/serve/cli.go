@@ -12,9 +12,9 @@ import (
 	"repro/internal/api"
 )
 
-// RunCLI is the daemon command line, shared verbatim by cmd/spiked and
-// `spike serve`: parse flags from args, then either run the smoke
-// self-test or serve until SIGINT/SIGTERM. name labels usage output.
+// RunCLI is the daemon command line, `spike serve`: parse flags from
+// args, then either run the smoke self-test or serve until
+// SIGINT/SIGTERM. name labels usage output.
 func RunCLI(name string, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -33,7 +33,7 @@ func RunCLI(name string, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "usage: %s [flags]\n\n"+
 			"Serve the interprocedural analysis over HTTP/JSON (wire formats %s, %s).\n"+
 			"Endpoints: POST /v1/{programs,summary,liveness,callsite,callgraph,analyze,batch},\n"+
-			"POST /v1/{patch,snapshot}, GET /healthz, GET /metrics[?format=prometheus],\n"+
+			"POST /v1/{patch,optimize,snapshot}, GET /healthz, GET /metrics[?format=prometheus],\n"+
 			"GET /debug/{trace,slowlog}, and GET /debug/pprof/ with -pprof.\n\n",
 			name, api.SchemaVersion, api.SchemaVersionV2)
 		fs.PrintDefaults()

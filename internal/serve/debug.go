@@ -69,7 +69,9 @@ func (r *slowRing) snapshot() []api.SlowQuery {
 
 // recordSlow turns a completed request trace into a slow-query record:
 // request identity, the program/options it resolved to, and the
-// per-stage latency breakdown (every non-root span, recording order).
+// per-stage latency breakdown (every non-root span, recording order,
+// each with its enclosing stage). The log line lists the top-level
+// stages only, whose durations do not overlap.
 func (s *Server) recordSlow(rt *obs.RequestTrace) {
 	s.slowCount.Add(1)
 	spans := rt.Tracer().Spans()
@@ -86,8 +88,10 @@ func (s *Server) recordSlow(rt *obs.RequestTrace) {
 		if dur < 0 {
 			dur = 0
 		}
+		// Stages[i] is spans[i+1], so the request root, span 0, maps
+		// to -1.
 		q.Stages = append(q.Stages, api.StageDuration{
-			Name: sp.Name, DurationUS: dur / 1e3,
+			Name: sp.Name, DurationUS: dur / 1e3, Parent: int(sp.Parent) - 1,
 		})
 	}
 	s.slowRing.add(q)
@@ -95,11 +99,12 @@ func (s *Server) recordSlow(rt *obs.RequestTrace) {
 		var b bytes.Buffer
 		fmt.Fprintf(&b, "slow query: id=%d route=%s status=%d dur=%dus program=%s options=%q stages=[",
 			q.RequestID, q.Route, q.Status, q.DurationUS, q.Program, q.OptionKey)
-		for i, st := range q.Stages {
-			if i > 0 {
-				b.WriteByte(' ')
+		sep := ""
+		for _, st := range q.Stages {
+			if st.Parent < 0 {
+				fmt.Fprintf(&b, "%s%s=%dus", sep, st.Name, st.DurationUS)
+				sep = " "
 			}
-			fmt.Fprintf(&b, "%s=%dus", st.Name, st.DurationUS)
 		}
 		b.WriteString("]\n")
 		s.conf.SlowLog.Write(b.Bytes())
@@ -127,7 +132,7 @@ func (s *Server) publishSLOGauges() {
 func (s *Server) handleDebugTrace(r *http.Request) (int, any) {
 	if s.flight == nil {
 		return errResp(http.StatusNotFound,
-			"flight recorder disabled (enable with Config.FlightRecorder / spiked -flightrecorder)")
+			"flight recorder disabled (enable with Config.FlightRecorder / spike serve -flightrecorder)")
 	}
 	if r.URL.Query().Get("format") == "info" {
 		return http.StatusOK, api.TraceInfoResponse{

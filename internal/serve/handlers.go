@@ -24,8 +24,9 @@ func (s *Server) handleLoad(r *http.Request) (int, any) {
 	}
 }
 
-// query is the shared prologue of the v1 point-query endpoints:
-// resolve the program, then its (cached or freshly computed) analysis.
+// query is the shared prologue of every endpoint that reads a loaded
+// program's analysis: resolve the program, then its (cached or freshly
+// computed) analysis, mapping a failure to its HTTP status.
 func (s *Server) query(ctx context.Context, program string, o api.Options) (*loadedProgram, *analysisEntry, int, error) {
 	lp, err := s.program(program)
 	if err != nil {

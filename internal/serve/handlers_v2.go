@@ -46,18 +46,10 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 	if len(req.Routines) == 0 {
 		return errRespV(schema, http.StatusBadRequest, "patch: no routine bodies to replace")
 	}
-	lp, err := s.program(req.Program)
-	if err != nil {
-		return errRespV(schema, http.StatusNotFound, "%v", err)
-	}
 	// The base analysis is the warm start; computed on demand like any
 	// query, and shared with every route that reads the base program.
-	ent, err := s.analysis(r.Context(), lp, req.Options)
+	lp, ent, status, err := s.query(r.Context(), req.Program, req.Options)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = 499
-		}
 		return errRespV(schema, status, "%v", err)
 	}
 
@@ -234,20 +226,12 @@ func (s *Server) handleSnapshot(r *http.Request) (int, any) {
 // the daemon's filesystem when the request names a path.
 func (s *Server) snapshotSave(ctx context.Context, req *api.SnapshotRequest) (int, any) {
 	const schema = api.SchemaVersionV2
-	lp, err := s.program(req.Program)
-	if err != nil {
-		return errRespV(schema, http.StatusNotFound, "%v", err)
-	}
 	var o api.Options
 	if req.Options != nil {
 		o = *req.Options
 	}
-	ent, err := s.analysis(ctx, lp, o)
+	lp, ent, status, err := s.query(ctx, req.Program, o)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = 499
-		}
 		return errRespV(schema, status, "%v", err)
 	}
 	img := snapshot.Capture(ent.a, lp.id).Encode()

@@ -292,9 +292,28 @@ func TestSlowQueryLog(t *testing.T) {
 			t.Errorf("slow record missing stage %q (have %v)", want, stageNames)
 		}
 	}
+	// Stages nest: phase1 runs inside the analysis, and the top-level
+	// stages, which do not overlap, fit inside the request.
+	var topUS int64
+	for _, st := range rec.Stages {
+		if st.Parent < 0 {
+			topUS += st.DurationUS
+		}
+		if st.Name == "phase1" {
+			if st.Parent < 0 || rec.Stages[st.Parent].Name != "analyze" {
+				t.Errorf("phase1's parent = %d, want the analyze stage (stages %+v)", st.Parent, rec.Stages)
+			}
+		}
+	}
+	if topUS > rec.DurationUS {
+		t.Errorf("top-level stages sum to %dus, more than the request's %dus", topUS, rec.DurationUS)
+	}
 	out := logbuf.String()
 	if !strings.Contains(out, "slow query: ") || !strings.Contains(out, "route=summary") {
 		t.Errorf("slow log output missing summary line:\n%s", out)
+	}
+	if strings.Contains(out, " phase1=") {
+		t.Errorf("slow log line lists a nested stage:\n%s", out)
 	}
 }
 

@@ -2,9 +2,9 @@
 // daemon that loads SXE programs, runs the interprocedural analysis
 // once per (program content-hash × option set), and answers point
 // queries — routine summaries, per-point liveness, call-site effects,
-// callgraph structure — from the converged result. cmd/spiked and
-// `spike serve` are thin wrappers over this package; the wire format is
-// the versioned documents of internal/api.
+// callgraph structure — from the converged result. `spike serve` is a
+// thin wrapper over this package; the wire format is the versioned
+// documents of internal/api.
 //
 // The design inverts the batch pipeline's lifecycle: instead of one
 // analysis per process invocation, the daemon amortizes one analysis

@@ -21,7 +21,7 @@ import (
 // the Prometheus rendering must expose the request counters, pprof
 // must answer, and — with the slow threshold forced to its minimum —
 // every request must land in the slow-query log. It is what
-// `spiked -smoke` and `make serve-smoke` run; progress goes to w, and
+// `spike serve -smoke` and `make serve-smoke` run; progress goes to w, and
 // any failure is the returned error.
 func Smoke(path string, conf Config, w io.Writer) error {
 	if conf.FlightRecorder <= 0 {
