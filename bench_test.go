@@ -346,18 +346,19 @@ func optimizeBench(b *testing.B, name string) {
 }
 
 // BenchmarkOptimizeWarmStart pins the tentpole claim that warm-starting
-// the between-pass re-analyses (core.Reanalyze seeded from each pass's
-// edit set) beats re-solving from scratch. The workload is pre-optimized
-// with the compiler baseline so the interprocedural rounds make small,
-// targeted edits — the regime the warm start exists for; on a raw
-// generated program the first dead-code sweep touches most routines and
-// a warm re-analysis costs about as much as a full one. The cold
-// pipeline — identical passes, NoWarmStart analysis — is timed outside
-// the loop; speedup-vs-cold is its wall time over the warm per-op time.
-// The margin is modest by design: even pre-optimized, round 1 edits a
-// large fraction of routines (the per-routine BenchmarkReanalyze*
-// family pins the order-of-magnitude small-edit wins). Both pipelines
-// produce byte-identical programs (TestNoWarmStartByteIdentical).
+// the between-pass re-analyses (core.ReanalyzeInPlace seeded from each
+// pass's edit set) beats re-solving from scratch. The workload is
+// pre-optimized with the compiler baseline so the interprocedural
+// rounds make small, targeted edits — the regime the warm start exists
+// for. The cold pipeline — identical passes, NoWarmStart analysis — is
+// timed outside the loop; speedup-vs-cold is its wall time over the
+// warm per-op time. The margin stays moderate: even pre-optimized, each
+// dead-code round dirties most routines, so its re-analysis re-solves
+// nearly the whole program, if in place on the shape-preserving path
+// (the per-routine BenchmarkReanalyze* family pins the
+// order-of-magnitude small-edit wins); on 2 vCPUs it measures about
+// 1.4. Both pipelines produce byte-identical programs
+// (TestNoWarmStartByteIdentical).
 func BenchmarkOptimizeWarmStart(b *testing.B) {
 	prof, ok := progen.ProfileByName("acad")
 	if !ok {

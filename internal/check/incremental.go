@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/opt"
 	"repro/internal/prog"
 	"repro/internal/progen"
 )
@@ -33,22 +34,103 @@ import (
 // return-site links and schedule, which the second leg's comparison of
 // converged sets does not.
 
+// The dead-code leg feeds the engine the edit the optimizer makes: one
+// round of dead-code elimination, compacted. progen.Mutate only
+// replaces instructions in place; this edit deletes them, so an emptied
+// block renumbers the blocks after it. No PSG node or edge moves (the
+// deleted instructions neither branch nor call), so every re-analysis
+// must take the shape-preserving path. Each cell re-analyzes from the
+// input's analysis to the optimized program's and back, first copying,
+// then in place from the copies.
+
+// IncrementalDeadCode runs the dead-code leg over p across the option
+// matrix. A program the round leaves unchanged yields no violation.
+func IncrementalDeadCode(p *prog.Program, parallelisms []int) []Violation {
+	c := &collector{oracle: "incremental"}
+	o := opt.DefaultOptions()
+	o.MaxRounds, o.NoSpillRemoval, o.NoSaveRestore = 1, true, true
+	out, rep, err := opt.Optimize(p, o)
+	if err != nil {
+		c.addf("incremental-deadcode-rejected", "", "dead-code round failed: %v", err)
+		return c.result()
+	}
+	if rep.Removed() == 0 {
+		return nil
+	}
+	desc := fmt.Sprintf("dead-code round (%d deleted)", rep.Removed())
+	forEachCell(parallelisms, func(cfg diffConfig, _ bool) {
+		checkDeadCodeCell(c, cfg, p, out, desc)
+	})
+	return c.result()
+}
+
+func checkDeadCodeCell(c *collector, cfg diffConfig, p, out *prog.Program, desc string) {
+	ap, err := core.Analyze(p, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-base-rejected", "", "%s: %s: input analysis failed: %v", cfg, desc, err)
+		return
+	}
+	aout, err := core.Analyze(out, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-scratch-rejected", "", "%s: %s: output analysis failed: %v", cfg, desc, err)
+		return
+	}
+	fwd, err := core.Reanalyze(ap, out, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-rejected", "", "%s: %s: Reanalyze failed: %v", cfg, desc, err)
+		return
+	}
+	compareAnalyses(c, cfg, desc, fwd, aout)
+	back, err := core.Reanalyze(aout, p, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-rejected", "", "%s: %s: Reanalyze (reverse) failed: %v", cfg, desc, err)
+		return
+	}
+	compareAnalyses(c, cfg, desc+" (reverse)", back, ap)
+	fwdIn, err := core.ReanalyzeInPlace(back, out, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-inplace-rejected", "", "%s: %s: ReanalyzeInPlace failed: %v", cfg, desc, err)
+		return
+	}
+	compareAnalyses(c, cfg, desc+" (in place)", fwdIn, aout)
+	backIn, err := core.ReanalyzeInPlace(fwd, p, cfg.options()...)
+	if err != nil {
+		c.addf("incremental-inplace-rejected", "", "%s: %s: ReanalyzeInPlace (reverse) failed: %v", cfg, desc, err)
+		return
+	}
+	compareAnalyses(c, cfg, desc+" (reverse, in place)", backIn, ap)
+	for _, a := range []*core.Analysis{fwd, back, fwdIn, backIn} {
+		if !a.Incremental.ShapePreserving {
+			c.addf("incremental-path", "", "%s: %s: a re-analysis took the general path", cfg, desc)
+			return
+		}
+	}
+}
+
 // IncrementalPair checks one (base, mutant) program pair across the
 // option matrix. desc labels the edit in violation details.
 func IncrementalPair(base, mutant *prog.Program, desc string, parallelisms []int) []Violation {
 	c := &collector{oracle: "incremental"}
+	forEachCell(parallelisms, func(cfg diffConfig, first bool) {
+		checkIncrementalCell(c, cfg, base, mutant, desc, first)
+	})
+	return c.result()
+}
+
+// forEachCell calls fn for every cell of the option matrix, world ×
+// branch nodes × parallelism (nil parallelisms selects {1, 2, 8});
+// first marks the cells of the first parallelism.
+func forEachCell(parallelisms []int, fn func(cfg diffConfig, first bool)) {
 	if len(parallelisms) == 0 {
 		parallelisms = []int{1, 2, 8}
 	}
 	for _, open := range []bool{false, true} {
 		for _, branch := range []bool{true, false} {
 			for i, par := range parallelisms {
-				cfg := diffConfig{open: open, branchNodes: branch, parallelism: par}
-				checkIncrementalCell(c, cfg, base, mutant, desc, i == 0)
+				fn(diffConfig{open: open, branchNodes: branch, parallelism: par}, i == 0)
 			}
 		}
 	}
-	return c.result()
 }
 
 func checkIncrementalCell(c *collector, cfg diffConfig, base, mutant *prog.Program, desc string, extraLegs bool) {
@@ -219,8 +301,10 @@ func routineName(a *core.Analysis, ri int) string {
 // GeneratedIncremental runs the incremental oracle over n generated
 // (program, mutation) pairs: seeds seed0 … seed0+n−1 each generate a
 // base program, apply one random edit (progen.Mutate), and compare
-// Reanalyze against Analyze across the option matrix. Every fourth
-// pair additionally chains a second edit on top of the first, with the
+// Reanalyze against Analyze across the option matrix. Every second
+// base program also runs the dead-code leg, whose edit dirties most
+// routines and so costs about twice a pair. Every fourth pair
+// additionally chains a second edit on top of the first, with the
 // incremental result as the warm-start, to catch state that only
 // decays after repeated reuse.
 func GeneratedIncremental(n int, seed0 uint64, opts *Options, w io.Writer) *Report {
@@ -230,6 +314,9 @@ func GeneratedIncremental(n int, seed0 uint64, opts *Options, w io.Writer) *Repo
 		base := progen.Generate(progen.TestProfile(12+int(seed%18)), progen.DefaultOptions(seed))
 		mutant, desc := progen.Mutate(base, seed^0x9e3779b97f4a7c15)
 		vs := IncrementalPair(base, mutant, desc, opts.parallelism())
+		if i%2 == 1 {
+			vs = append(vs, IncrementalDeadCode(base, opts.parallelism())...)
+		}
 		if i%4 == 0 {
 			second, desc2 := progen.Mutate(mutant, seed*2654435761+1)
 			vs = append(vs, incrementalChain(base, mutant, second, desc+"; then "+desc2)...)

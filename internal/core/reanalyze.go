@@ -69,12 +69,15 @@ import (
 //
 // The engine makes one structural decision. An edit is shape-preserving
 // when every routine keeps the same PSG nodes and edges, so no node or
-// edge ID moves (a body edit that leaves control flow and call sites
-// alone): the dirty routines' ranges are then rebuilt in the
-// destination slabs, verified against their previous structure, and
-// every layout-derived structure is kept. Otherwise the general path
-// lays out fresh slabs, copying clean routines' ranges from prev with
-// their IDs shifted to the new offsets.
+// edge ID moves: a body edit that leaves control flow and call sites
+// alone, including one that deletes instructions that neither branch
+// nor call, as a compacted dead-code round does. Block IDs may move:
+// emptying a fall-through block renumbers the blocks after it, and the
+// rebuilt nodes carry their new blocks. The dirty routines' ranges are
+// then rebuilt in the destination slabs, verified against their
+// previous structure, and every layout-derived structure is kept.
+// Otherwise the general path lays out fresh slabs, copying clean
+// routines' ranges from prev with their IDs shifted to the new offsets.
 
 // IncrementalStats records what a re-analysis actually did: how much of
 // the previous analysis it reused and how much it re-solved. The
@@ -248,12 +251,12 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 
 	// ---- PSG assembly --------------------------------------------------
 	shapeSame := nNew == nOld
-	var srShared bool
+	var srShared, exitsKept bool
 	a.Stats.PSGBuild = stage(asp, "psg build", func(sp obs.Span) {
 		start := time.Now()
 		var tasks []labelTask
 		if shapeSame {
-			tasks, shapeSame = a.assembleSameShape(prev, dirty, own, conf)
+			tasks, exitsKept, shapeSame = a.assembleSameShape(prev, dirty, oldGraphs, own, conf)
 		}
 		if !shapeSame {
 			tasks = a.assemblePSG(prev, clean, dirty, conf)
@@ -370,7 +373,7 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 
 	// ---- phase 2 -------------------------------------------------------
 	a.Stats.Phase2 = stage(asp, "phase2", func(sp obs.Span) {
-		if shapeSame && a.linksUnchanged(prev, dirty, oldGraphs) {
+		if shapeSame && a.linksUnchanged(prev, dirty, exitsKept) {
 			pg := prev.PSG
 			g.retStart, g.retSiteIDs = pg.retStart, pg.retSiteIDs
 			g.depStart, g.depExitIDs = pg.depStart, pg.depExitIDs
@@ -538,14 +541,20 @@ func validatePatched(patched *prog.Program, prev *Analysis, dirty []int) error {
 // verifies each rebuilt range against a copy of the range it replaced.
 // On success the new PSG keeps prev's CSR adjacency, entry/exit index
 // lists, caller-edge registrations and slab bounds: all are pure
-// functions of the structure just proven unchanged. It returns the
-// dirty routines' labeling tasks.
+// functions of the structure just proven unchanged. Block IDs are not
+// part of that structure: an edit that empties a block renumbers the
+// blocks after it, and the rebuilt nodes carry their new blocks. It
+// returns the dirty routines' labeling tasks, and whether every rebuilt
+// exit kept its terminator class (ret or halt, read from the old block
+// in oldGraphs, the replaced CFGs aligned with dirty): the return-site
+// links depend on it, and only here are the replaced nodes still at
+// hand.
 //
 // On a mismatch it reports false, leaving the dirty ranges of the
 // destination slabs (in place: of prev's) partly rebuilt. The clamp
 // keeps every clean range intact, and the general path reads only
 // clean ranges from prev, so it can take over within the same call.
-func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, own bool, conf Config) ([]labelTask, bool) {
+func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, oldGraphs []*cfg.Graph, own bool, conf Config) (tasks []labelTask, exitsKept, ok bool) {
 	pg := prev.PSG
 	nodes, edges := pg.Nodes, pg.Edges
 	if !own {
@@ -560,8 +569,9 @@ func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, own bool, conf
 	var bakN []Node
 	var bakE []Edge
 	var scratch buildScratch
-	tasks := make([]labelTask, 0, len(dirty))
-	for _, ri := range dirty {
+	tasks = make([]labelTask, 0, len(dirty))
+	exitsKept = true
+	for i, ri := range dirty {
 		nlo, nhi := int(nodeStart[ri]), int(nodeStart[ri+1])
 		elo, ehi := int(edgeStart[ri]), int(edgeStart[ri+1])
 		bakN = append(bakN[:0], nodes[nlo:nhi]...)
@@ -583,7 +593,12 @@ func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, own bool, conf
 		if len(v.Nodes) != nhi || len(v.Edges) != ehi ||
 			!sameStructure(nodes[nlo:nhi], bakN, edges[elo:ehi], bakE) {
 			releaseTasks(tasks)
-			return nil, false
+			return nil, false, false
+		}
+		for _, x := range ex[ri] {
+			if isRetBlock(a.Graphs[ri], nodes[x].Block) != isRetBlock(oldGraphs[i], bakN[x-nlo].Block) {
+				exitsKept = false
+			}
 		}
 	}
 	a.PSG = &PSG{
@@ -601,16 +616,16 @@ func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, own bool, conf
 		nodeStart:   nodeStart,
 		edgeStart:   edgeStart,
 	}
-	return tasks, true
+	return tasks, exitsKept, true
 }
 
 // sameStructure reports whether a rebuilt routine range has exactly the
 // nodes and edges of the range it replaced (IDs agree by construction:
-// the rebuild appended at the old offsets).
+// the rebuild appended at the old offsets). Blocks may differ.
 func sameStructure(nodes, oldNodes []Node, edges, oldEdges []Edge) bool {
 	for i := range nodes {
 		n, p := &nodes[i], &oldNodes[i]
-		if n.Kind != p.Kind || n.Block != p.Block || n.EntryIdx != p.EntryIdx ||
+		if n.Kind != p.Kind || n.EntryIdx != p.EntryIdx ||
 			n.CallTarget != p.CallTarget || n.CallEntry != p.CallEntry ||
 			n.Unknown != p.Unknown {
 			return false
@@ -629,18 +644,19 @@ func sameStructure(nodes, oldNodes []Node, edges, oldEdges []Edge) bool {
 // a shape-preserving edit's PSG. Beyond the structure they depend on
 // each exit's terminator (ret links, halt does not) and, in a closed
 // world, on the address-taken flags; a body edit can change either
-// without moving a single node.
-func (a *Analysis) linksUnchanged(prev *Analysis, dirty []int, oldGraphs []*cfg.Graph) bool {
-	g := a.PSG
-	for i, ri := range dirty {
-		if a.Config.LinkIndirectCalls &&
-			a.Prog.Routines[ri].AddressTaken != prev.Prog.Routines[ri].AddressTaken {
+// without moving a single node. exitsKept is assembleSameShape's verdict
+// on the terminators: only it still holds the replaced exit nodes, whose
+// blocks index the replaced CFGs.
+func (a *Analysis) linksUnchanged(prev *Analysis, dirty []int, exitsKept bool) bool {
+	if !exitsKept {
+		return false
+	}
+	if !a.Config.LinkIndirectCalls {
+		return true
+	}
+	for _, ri := range dirty {
+		if a.Prog.Routines[ri].AddressTaken != prev.Prog.Routines[ri].AddressTaken {
 			return false
-		}
-		for _, x := range g.ExitNodes[ri] {
-			if isRetBlock(a.Graphs[ri], g.Nodes[x].Block) != isRetBlock(oldGraphs[i], g.Nodes[x].Block) {
-				return false
-			}
 		}
 	}
 	return true

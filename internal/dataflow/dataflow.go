@@ -194,6 +194,26 @@ func (lv *Liveness) LiveAfter(instr int) regset.Set {
 	return live
 }
 
+// EachLiveAfter calls yield once for every instruction of the routine,
+// with the set of registers live immediately after it: the set
+// LiveAfter(instr) returns. It makes one bottom-up sweep per block, so a
+// whole routine costs O(instructions) where a LiveAfter call per
+// instruction re-walks from its block's end each time. Blocks are
+// visited in ID order, each from its last instruction up to its first.
+func (lv *Liveness) EachLiveAfter(yield func(instr int, after regset.Set)) {
+	g := lv.graph
+	for _, b := range g.Blocks {
+		live := lv.Out[b.ID]
+		for i := b.End - 1; ; i-- {
+			yield(i, live)
+			if i == b.Start {
+				break
+			}
+			live = lv.opts.instrXfer(&g.Routine.Code[i], live)
+		}
+	}
+}
+
 // LiveBefore returns the set of registers live immediately before the
 // instruction at index instr of the routine.
 func (lv *Liveness) LiveBefore(instr int) regset.Set {

@@ -2,8 +2,10 @@ package opt
 
 import (
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/regset"
 )
 
 // isPure reports whether an instruction's only effect is writing its
@@ -45,28 +47,28 @@ func eliminateDeadCode(a *core.Analysis, e *editSet, conservative bool, workers 
 	return deleted
 }
 
+// deadCodeRoutine nops out routine ri's dead pure instructions, reading
+// the analyzed code and one liveness sweep over it.
 func deadCodeRoutine(a *core.Analysis, e *editSet, ri int, conservative bool) int {
 	r := a.Prog.Routines[ri]
-	lv := Liveness(a, ri)
+	var lv *dataflow.Liveness
 	if conservative {
 		lv = ConservativeLiveness(a, ri)
+	} else {
+		lv = Liveness(a, ri)
 	}
 	deleted := 0
-	for i := range r.Code {
+	lv.EachLiveAfter(func(i int, after regset.Set) {
 		in := &r.Code[i]
 		if !isPure(in) {
-			continue
+			return
 		}
-		defs := in.Defs()
-		if defs.IsEmpty() {
-			continue
-		}
-		if defs.Intersects(lv.LiveAfter(i)) {
-			continue
+		if defs := in.Defs(); defs.IsEmpty() || defs.Intersects(after) {
+			return
 		}
 		e.routine(ri).Code[i] = isa.Nop()
 		deleted++
-	}
+	})
 	return deleted
 }
 

@@ -63,9 +63,10 @@ type Options struct {
 	NoSaveRestore  bool
 
 	// NoWarmStart re-analyzes from scratch between passes instead of
-	// warm-starting with core.Reanalyze. The result is byte-identical
-	// (Reanalyze's contract); the knob exists to quantify the warm-start
-	// advantage (BenchmarkOptimizeWarmStart), not for production use.
+	// warm-starting with core.ReanalyzeInPlace. The result is
+	// byte-identical (the re-analysis contract); the knob exists to
+	// quantify the warm-start advantage (BenchmarkOptimizeWarmStart,
+	// about 1.4× on acad at scale 0.1), not for production use.
 	NoWarmStart bool
 
 	// ConservativeLiveness restricts dead-code elimination to what a
@@ -99,10 +100,12 @@ func CompilerOptions() Options {
 // until a fixed point (or the round budget) is reached. Each pass runs
 // against summaries consistent with the current code: the program is
 // analyzed once, and every pass's edit set is folded back in with a
-// warm-start incremental re-analysis (core.Reanalyze), so a round costs
-// O(edits) rather than O(program). The passes themselves fan out over
-// the call graph's condensation waves; the result is byte-identical at
-// any Analysis.Parallelism.
+// warm-start incremental re-analysis. Every intermediate analysis is
+// the loop's alone, so the re-analysis runs in place
+// (core.ReanalyzeInPlace) and a round costs O(edits) rather than
+// O(program). The passes themselves fan out over the call graph's
+// condensation waves; the result is byte-identical at any
+// Analysis.Parallelism.
 func Optimize(p *prog.Program, opts Options) (*prog.Program, *Report, error) {
 	out, _, rep, err := OptimizeAnalyzed(p, opts)
 	return out, rep, err
@@ -122,7 +125,7 @@ func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analy
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return optimize(a, p.NumInstructions(), opts)
+	return optimize(a, true, p.NumInstructions(), opts)
 }
 
 // OptimizeFrom is OptimizeAnalyzed for a caller that already holds
@@ -134,21 +137,26 @@ func OptimizeAnalyzed(p *prog.Program, opts Options) (*prog.Program, *core.Analy
 // edited with prev.Prog. The result is the one OptimizeAnalyzed
 // returns for prev.Prog.
 func OptimizeFrom(prev *core.Analysis, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
-	a := prev
+	a, owned := prev, false
 	if cur := prev.Prog.Clone(); Compact(cur) > 0 {
 		var err error
 		if a, err = core.Reanalyze(prev, cur, core.WithConfig(opts.Analysis)); err != nil {
 			return nil, nil, nil, err
 		}
+		owned = true
 	}
-	return optimize(a, prev.Prog.NumInstructions(), opts)
+	return optimize(a, owned, prev.Prog.NumInstructions(), opts)
 }
 
 // optimize runs the pass loop from a, the analysis of the nop-free
 // program to optimize; before is the instruction count of the
-// caller's input. a is never modified: every pass edits a
-// copy-on-write view and re-analyzes into a fresh analysis.
-func optimize(a *core.Analysis, before int, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
+// caller's input. a.Prog is never modified: every pass edits a
+// copy-on-write view and re-analyzes into a fresh analysis. owned
+// reports that a belongs to the loop: every analysis after it does, so
+// each re-analysis takes over its predecessor's storage
+// (core.ReanalyzeInPlace), except a first one from a caller's analysis,
+// which copies.
+func optimize(a *core.Analysis, owned bool, before int, opts Options) (*prog.Program, *core.Analysis, *Report, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 4
 	}
@@ -197,14 +205,18 @@ func optimize(a *core.Analysis, before int, opts Options) (*prog.Program, *core.
 			changed += n
 			m.Counter(ps.counter).Add(uint64(n))
 			e.compact()
-			if opts.NoWarmStart {
+			switch {
+			case opts.NoWarmStart:
 				a, err = core.Analyze(e.out, core.WithConfig(opts.Analysis))
-			} else {
+			case owned:
+				a, err = core.ReanalyzeInPlace(a, e.out, core.WithConfig(opts.Analysis))
+			default:
 				a, err = core.Reanalyze(a, e.out, core.WithConfig(opts.Analysis))
 			}
 			if err != nil {
 				return nil, nil, nil, err
 			}
+			owned = true
 			rep.Reanalyses++
 		}
 		if changed == 0 {

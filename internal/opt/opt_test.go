@@ -382,6 +382,57 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// answers renders every summary and per-instruction liveness query of
+// an analysis.
+func answers(a *core.Analysis) string {
+	var b strings.Builder
+	for ri, r := range a.Prog.Routines {
+		fmt.Fprintf(&b, "%+v\n", a.Summary(ri))
+		for i := range r.Code {
+			before, after, err := a.LivenessAt(ri, i)
+			fmt.Fprintf(&b, "%d/%d %v %v %v\n", ri, i, before, after, err)
+		}
+	}
+	return b.String()
+}
+
+// TestOptimizeAnalyzedMatchesAnalyze pins the analysis OptimizeAnalyzed
+// returns, the warm-start loop's last, which the daemon caches as the
+// optimized program's own: it answers every summary and liveness query
+// and reports every structural count exactly as a from-scratch analysis
+// of the optimized program does, in both worlds.
+func TestOptimizeAnalyzedMatchesAnalyze(t *testing.T) {
+	worlds := map[string]core.Config{"closed": core.DefaultConfig(), "open": core.PaperConfig()}
+	for i, name := range []string{"compress", "li", "gcc", "perl", "vc", "winword"} {
+		prof, _ := progen.ProfileByName(name)
+		p := progen.Generate(prof.Scale(0.05), progen.PaperOptOptions(uint64(i+1)))
+		for world, conf := range worlds {
+			opts := DefaultOptions()
+			opts.Analysis = conf
+			out, got, rep, err := OptimizeAnalyzed(p, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, world, err)
+			}
+			if rep.Reanalyses == 0 {
+				t.Fatalf("%s %s: no re-analysis ran", name, world)
+			}
+			want, err := core.Analyze(out, core.WithConfig(conf))
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, world, err)
+			}
+			type counts struct{ nodes, edges, blocks, arcs, instrs int }
+			gs, ws := &got.Stats, &want.Stats
+			if g, w := (counts{gs.PSGNodes, gs.PSGEdges, gs.BasicBlocks, gs.CFGArcs, gs.Instructions}),
+				(counts{ws.PSGNodes, ws.PSGEdges, ws.BasicBlocks, ws.CFGArcs, ws.Instructions}); g != w {
+				t.Errorf("%s %s: counts %+v, want %+v", name, world, g, w)
+			}
+			if answers(got) != answers(want) {
+				t.Errorf("%s %s: the returned analysis answers differently from Analyze(out)", name, world)
+			}
+		}
+	}
+}
+
 // TestOptimizeFromMatchesOptimize pins OptimizeFrom's contract on a
 // generated program and on one holding nops (so the compaction
 // re-analysis runs): started from a caller's analysis of the input, it
@@ -408,18 +459,6 @@ done:
   nop
   ret
 `)
-	// answers renders every summary and per-instruction liveness query.
-	answers := func(a *core.Analysis) string {
-		var b strings.Builder
-		for ri, r := range a.Prog.Routines {
-			fmt.Fprintf(&b, "%+v\n", a.Summary(ri))
-			for i := range r.Code {
-				before, after, err := a.LivenessAt(ri, i)
-				fmt.Fprintf(&b, "%d/%d %v %v %v\n", ri, i, before, after, err)
-			}
-		}
-		return b.String()
-	}
 	for name, p := range map[string]*prog.Program{
 		"li":   progen.Generate(prof.Scale(0.1), progen.PaperOptOptions(3)),
 		"nops": withNops,
