@@ -5,11 +5,11 @@
 GO ?= go
 
 # The benchmark set recorded in BENCH_phases.json: the end-to-end
-# parallel-pipeline benchmarks at the repo root, the per-stage
-# allocation benchmarks in internal/core, and the analysis-service
-# endpoint benchmarks (BenchmarkServe*, routed into the document's
-# "serve" section with queries/sec and latency quantiles).
-BENCH_SET = BenchmarkAnalyzeParallel$$|BenchmarkPhasesParallel$$|BenchmarkPSGBuild$$|BenchmarkPhases$$|BenchmarkTable2AnalyzeGcc$$|BenchmarkTable2AnalyzeAcad$$|BenchmarkServe|BenchmarkReanalyze|BenchmarkOptimize
+# parallel-pipeline benchmarks and the snapshot restore at the repo
+# root, the per-stage allocation benchmarks in internal/core, and the
+# analysis-service endpoint benchmarks (BenchmarkServe*, routed into the
+# document's "serve" section with queries/sec and latency quantiles).
+BENCH_SET = BenchmarkAnalyzeParallel$$|BenchmarkPhasesParallel$$|BenchmarkPSGBuild$$|BenchmarkPhases$$|BenchmarkTable2AnalyzeGcc$$|BenchmarkTable2AnalyzeAcad$$|BenchmarkRestoreAcad$$|BenchmarkServe|BenchmarkReanalyze|BenchmarkOptimize
 # The per-routine labeling benchmarks are microsecond-scale, so three
 # iterations are dominated by first-run slab allocation; they get a
 # steady-state iteration count of their own.
@@ -99,14 +99,15 @@ trace: build
 serve-smoke:
 	$(GO) run ./cmd/spike serve -smoke examples/fig2.s
 
-# Observability overhead guard: vet plus the tests proving disabled
-# tracing/metrics cost zero allocations and the telemetry is
-# deterministic. CI runs this as its own step so an obs regression is
-# named in the failure, not buried in the full suite.
+# Observability overhead guard: vet plus the allocation budgets of
+# Analyze, the PSG build, the phases and Rehydrate, and the tests
+# proving disabled tracing/metrics cost zero allocations and the
+# telemetry is deterministic. CI runs this as its own step so an obs
+# regression is named in the failure, not buried in the full suite.
 obs-guard:
 	$(GO) vet ./...
 	$(GO) test ./internal/obs/ ./internal/core/ \
-		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestRequestAndOfflineSpansAgree' -v
+		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestRehydrateAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestRequestAndOfflineSpansAgree' -v
 
 # Correctness soak: the internal/check harness — differential runner
 # across the option matrix, PSG invariant checker, Figure 6 labeling

@@ -22,6 +22,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/prog"
 	"repro/internal/progen"
+	"repro/internal/snapshot"
 )
 
 // benchScale keeps the testing.B benchmarks fast; `spike bench` runs
@@ -161,6 +162,32 @@ func BenchmarkReanalyzeInPlaceAcad(b *testing.B) {
 	if perOp > 0 {
 		b.ReportMetric(full.Seconds()/perOp, "speedup-vs-full")
 	}
+}
+
+// BenchmarkRestoreAcad measures the snapshot warm start on acad:
+// decoding a captured image and restoring it into a working analysis
+// (snapshot.Decode + Restore), the daemon's snapshot-load path. The
+// baseline is BenchmarkTable2AnalyzeAcad (same program, same options),
+// which computes what the restore reads back.
+func BenchmarkRestoreAcad(b *testing.B) {
+	p := generate(b, "acad")
+	a, err := core.Analyze(p, core.WithOpenWorld())
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := snapshot.Capture(a, "").Encode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := snapshot.Decode(img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Restore(p, core.WithOpenWorld()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(img))/(1<<20), "image-MB")
 }
 
 // Table 3: PSG construction alone (nodes and edges per routine drive

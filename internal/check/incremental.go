@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -15,24 +16,25 @@ import (
 // core.Analyze: after any edit, re-solving only the dirty cone must
 // land on byte-for-byte the state a from-scratch analysis computes —
 // same summaries, same structural counts, same converged per-node and
-// per-edge sets. It runs the comparison across the full option matrix
-// (world × branch nodes × parallelism), because the incremental path
-// has its own scheduling and must be deterministic under all of them.
-// Each cell also drives the edit backwards through the consuming
+// per-edge sets, same entry, exit and caller-edge lists and adjacency.
+// It runs the comparison across the full option matrix (world × branch
+// nodes × parallelism), because the incremental path has its own
+// scheduling and must be deterministic under all of them. Each cell
+// also drives the edit backwards through the consuming
 // core.ReanalyzeInPlace and requires it to reproduce the base analysis
 // byte-for-byte.
 //
-// The cells of the first parallelism add three legs. One applies the
-// forward edit in place to an analysis restored from prev's saved
-// state, the warm start the daemon's snapshot path hands out. The
-// second re-checks prev against a fresh analysis after the reverse
-// leg: the copying result shares its layout-derived arrays with prev,
-// so a consuming write into one of them would change prev and the
-// reverse result alike, which their mutual comparison cannot see. The
-// third re-analyzes the forward edit from prev once more and compares
-// it with the scratch result: that run reads prev's shared adjacency,
-// return-site links and schedule, which the second leg's comparison of
-// converged sets does not.
+// The cells of the first parallelism add three legs. One restores prev
+// from its saved state, requires the restore to equal prev, and applies
+// the forward edit in place to it, the warm start the daemon's snapshot
+// path hands out. The second re-checks prev against a fresh analysis
+// after the reverse leg: the copying result shares its layout-derived
+// arrays with prev, so a consuming write into one of them would change
+// prev and the reverse result alike, which their mutual comparison
+// cannot see. The third re-analyzes the forward edit from prev once
+// more and compares it with the scratch result: that run reads prev's
+// shared adjacency, return-site links and schedule, which the second
+// leg's comparison of converged sets does not.
 
 // The dead-code leg feeds the engine the edit the optimizer makes: one
 // round of dead-code elimination, compacted. progen.Mutate only
@@ -185,16 +187,18 @@ func checkIncrementalCell(c *collector, cfg diffConfig, base, mutant *prog.Progr
 	}
 }
 
-// checkRestoredInPlace applies the forward edit in place to prev's
-// snapshot restore and requires the scratch result and the same path
-// the copying re-analysis took; a body edit never changes the PSG
-// shape, so it must take the shape-preserving path.
+// checkRestoredInPlace requires prev's snapshot restore to equal prev,
+// then applies the forward edit in place to the restore and requires
+// the scratch result and the same path the copying re-analysis took; a
+// body edit never changes the PSG shape, so it must take the
+// shape-preserving path.
 func checkRestoredInPlace(c *collector, cfg diffConfig, base, mutant *prog.Program, desc string, prev, inc, scratch *core.Analysis) {
 	restored, err := core.Rehydrate(base, prev.Export(), cfg.options()...)
 	if err != nil {
 		c.addf("incremental-restore-rejected", "", "%s: %s: Rehydrate failed: %v", cfg, desc, err)
 		return
 	}
+	compareAnalyses(c, cfg, desc+" (restored)", restored, prev)
 	fwd, err := core.ReanalyzeInPlace(restored, mutant, cfg.options()...)
 	if err != nil {
 		c.addf("incremental-inplace-rejected", "", "%s: %s: ReanalyzeInPlace (restored) failed: %v", cfg, desc, err)
@@ -209,8 +213,8 @@ func checkRestoredInPlace(c *collector, cfg diffConfig, base, mutant *prog.Progr
 }
 
 // compareAnalyses requires the incremental result to equal the scratch
-// result in everything observable: summaries, structural counts, and
-// the full converged PSG state.
+// result in everything observable: summaries, structural counts, the
+// full converged PSG state and its layout-derived lists and adjacency.
 func compareAnalyses(c *collector, cfg diffConfig, desc string, inc, scratch *core.Analysis) {
 	st, si := &scratch.Stats, &inc.Stats
 	if si.Routines != st.Routines || si.Instructions != st.Instructions ||
@@ -286,6 +290,38 @@ func compareAnalyses(c *collector, cfg diffConfig, desc string, inc, scratch *co
 			c.addf("incremental-psg", routineName(scratch, gs.Nodes[es.Src].Routine),
 				"%s: %s: edge %d labels differ: incremental (%v %v %v) vs scratch (%v %v %v)",
 				cfg, desc, i, ei.MayUse, ei.MayDef, ei.MustDef, es.MayUse, es.MayDef, es.MustDef)
+			return
+		}
+	}
+	compareLayout(c, cfg, desc, inc, scratch)
+}
+
+// compareLayout requires two PSGs of equal shape to agree on everything
+// derived from the slab layout: each routine's entry, exit and
+// per-entrance caller-edge lists, and each node's out- and in-edges.
+// Lists compare element-wise, so a nil list equals an empty one.
+func compareLayout(c *collector, cfg diffConfig, desc string, inc, scratch *core.Analysis) {
+	gi, gs := inc.PSG, scratch.PSG
+	for ri := range scratch.Prog.Routines {
+		name := scratch.Prog.Routines[ri].Name
+		if !slices.Equal(gi.EntryNodes[ri], gs.EntryNodes[ri]) {
+			c.addf("incremental-layout", name, "%s: %s: entry nodes %v (incremental) ≠ %v (scratch)",
+				cfg, desc, gi.EntryNodes[ri], gs.EntryNodes[ri])
+		}
+		if !slices.Equal(gi.ExitNodes[ri], gs.ExitNodes[ri]) {
+			c.addf("incremental-layout", name, "%s: %s: exit nodes %v (incremental) ≠ %v (scratch)",
+				cfg, desc, gi.ExitNodes[ri], gs.ExitNodes[ri])
+		}
+		if !slices.EqualFunc(gi.CallerEdges[ri], gs.CallerEdges[ri], slices.Equal[[]int]) {
+			c.addf("incremental-layout", name, "%s: %s: caller edges %v (incremental) ≠ %v (scratch)",
+				cfg, desc, gi.CallerEdges[ri], gs.CallerEdges[ri])
+		}
+	}
+	for id := range gs.Nodes {
+		if !slices.Equal(gi.OutEdges(id), gs.OutEdges(id)) || !slices.Equal(gi.InEdges(id), gs.InEdges(id)) {
+			c.addf("incremental-layout", routineName(scratch, gs.Nodes[id].Routine),
+				"%s: %s: node %d adjacency differs: incremental (out %v in %v) vs scratch (out %v in %v)",
+				cfg, desc, id, gi.OutEdges(id), gi.InEdges(id), gs.OutEdges(id), gs.InEdges(id))
 			return
 		}
 	}

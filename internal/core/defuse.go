@@ -311,13 +311,14 @@ func (d *defUse) target(block int) int32 {
 // first, then return and branch nodes by block ID) it walks only the
 // def-use links reachable from the source's start blocks and emits one
 // edge per sink found, in ascending block order, at O(chain) per source
-// instead of O(blocks). labelSparse fills in the labels later, possibly
-// on a worker pool.
-func (g *PSG) discoverFlowEdgesSparse(t *labelTask, graph *cfg.Graph, rn routineNodes, du *defUse, scratch *buildScratch) {
+// instead of O(blocks). The entry nodes are the routine's first
+// len(graph.EntryBlocks) nodes, starting at node ID first. labelSparse
+// fills in the labels later, possibly on a worker pool.
+func (g *PSG) discoverFlowEdgesSparse(t *labelTask, graph *cfg.Graph, first int, rn routineNodes, du *defUse, scratch *buildScratch) {
 	t.graph, t.du = graph, du
 	sources := du.srcBuf[:0]
-	for _, id := range g.EntryNodes[graph.RoutineIndex] {
-		sources = append(sources, int32(id))
+	for i := range graph.EntryBlocks {
+		sources = append(sources, int32(first+i))
 	}
 	for blockID := range graph.Blocks {
 		if id := rn.returnAt[blockID]; id >= 0 {

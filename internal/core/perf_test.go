@@ -11,19 +11,21 @@ import (
 )
 
 // Allocation budgets for the fixed workload below (TestProfile(60),
-// seed 1, parallelism 1). The numbers are the measured steady-state
-// allocation counts with ~25% headroom, recorded so a future change
-// that reintroduces per-node/per-edge heap objects or per-iteration
-// scratch fails loudly instead of silently regressing the hot path.
-// If a legitimate structural change moves a budget, re-measure with
+// seed 1, parallelism 1). The numbers are the steady-state allocation
+// counts measured under Go 1.24 with ~25% headroom, recorded so a
+// future change that reintroduces per-node/per-edge heap objects or
+// per-iteration scratch fails loudly instead of silently regressing the
+// hot path. If a legitimate structural change moves a budget,
+// re-measure with
 //
-//	go test ./internal/core/ -run TestAnalyzeAllocationBudget -v
+//	go test ./internal/core/ -run AllocationBudget -v
 //
 // and update the constant alongside the change that explains it.
 const (
-	analyzeAllocBudget  = 3000 // full Analyze, closed world (measured ~2.4k)
-	psgBuildAllocBudget = 1000 // buildPSG on prebuilt CFGs (measured ~820)
-	phasesAllocBudget   = 50   // newPhaseSched + both phases, reused PSG (measured ~36)
+	analyzeAllocBudget   = 2250 // full Analyze, closed world (measured 1,799)
+	psgBuildAllocBudget  = 110  // buildPSG on prebuilt CFGs (measured 87)
+	phasesAllocBudget    = 43   // newPhaseSched + both phases, reused PSG (measured 34)
+	rehydrateAllocBudget = 2000 // Rehydrate from the same program's Export (measured 1,596)
 )
 
 func perfProgram() *prog.Program {
@@ -43,6 +45,27 @@ func TestAnalyzeAllocationBudget(t *testing.T) {
 	t.Logf("Analyze: %.0f allocs/run (budget %d)", allocs, analyzeAllocBudget)
 	if allocs > analyzeAllocBudget {
 		t.Errorf("Analyze allocates %.0f times per run, budget is %d", allocs, analyzeAllocBudget)
+	}
+}
+
+func TestRehydrateAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	p := perfProgram()
+	a, err := Analyze(p, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := a.Export()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Rehydrate(p, st, WithParallelism(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Rehydrate: %.0f allocs/run (budget %d)", allocs, rehydrateAllocBudget)
+	if allocs > rehydrateAllocBudget {
+		t.Errorf("Rehydrate allocates %.0f times per run, budget is %d", allocs, rehydrateAllocBudget)
 	}
 }
 

@@ -6,7 +6,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -173,13 +172,13 @@ type PSG struct {
 	EntryNodes [][]int
 
 	// ExitNodes[r] lists the node IDs of routine r's exits (real
-	// exits only, not unknown-jump pseudo-exits).
+	// exits only, not unknown-jump pseudo-exits), in ID order.
 	ExitNodes [][]int
 
 	// CallerEdges[r] lists the call-return edge IDs of direct calls
 	// targeting routine r, used to broadcast entry summaries (§3.2).
 	// Indexed per entrance: CallerEdges[r][e] lists edges calling
-	// entrance e.
+	// entrance e, in ID order.
 	CallerEdges [][][]int
 
 	// SavedRestored[r] is the set of callee-saved registers routine r
@@ -194,39 +193,11 @@ type PSG struct {
 	// Per-routine slab bounds: routine ri's nodes occupy
 	// Nodes[nodeStart[ri]:nodeStart[ri+1]] and its edges
 	// Edges[edgeStart[ri]:edgeStart[ri+1]] (both slabs are
-	// routine-contiguous in index order). Builders that know the bounds
-	// fill them directly; routineBounds computes them on demand
-	// otherwise. Used by the incremental re-assembly to address a
-	// routine's ranges without scanning the slabs.
-	nodeStart  []int32
-	edgeStart  []int32
-	boundsOnce sync.Once
-}
-
-// routineBounds returns the per-routine node and edge slab bounds,
-// computing and memoizing them on first use. Safe for concurrent
-// callers (several re-analyses may diff against one base analysis).
-func (g *PSG) routineBounds() (nodeStart, edgeStart []int32) {
-	g.boundsOnce.Do(func() {
-		if g.nodeStart != nil {
-			return
-		}
-		n := len(g.Prog.Routines)
-		ns := make([]int32, n+1)
-		es := make([]int32, n+1)
-		for i := range g.Nodes {
-			ns[g.Nodes[i].Routine+1]++
-		}
-		for i := range g.Edges {
-			es[g.Nodes[g.Edges[i].Src].Routine+1]++
-		}
-		for ri := 0; ri < n; ri++ {
-			ns[ri+1] += ns[ri]
-			es[ri+1] += es[ri]
-		}
-		g.nodeStart, g.edgeStart = ns, es
-	})
-	return g.nodeStart, g.edgeStart
+	// routine-contiguous in index order). Set by index with the lists
+	// above; the incremental re-analysis addresses a routine's ranges
+	// through them.
+	nodeStart []int32
+	edgeStart []int32
 }
 
 // FrameFacts returns the cached per-routine §3.4 body facts, indexed by
@@ -343,114 +314,212 @@ func PaperConfig() Config {
 // (defuse.go).
 //
 // Construction is split into a serial structural pass and a parallel
-// labeling pass. The structural pass walks routines in index order,
-// appending nodes and edges to the value slabs — IDs are therefore
-// deterministic and independent of Config.Parallelism — and shares one
-// scratch buffer across routines, so its allocation count is O(routines)
-// rather than O(nodes + edges). The CSR adjacency is then built in two
-// counting passes, and the labeling pass computes each routine's
-// flow-summary edge labels (the Figure 6 dataflow, the dominant cost of
-// PSG construction) on the worker pool over the routines' pooled chain
-// slabs; each worker writes only the Edge structs of its own routine, so the
-// result is byte-identical to a serial run. The returned duration is the
+// labeling pass. The structural pass is layoutPSG with every routine
+// built. The labeling pass computes each routine's flow-summary edge
+// labels (the Figure 6 dataflow, the dominant cost of PSG construction)
+// on the worker pool over the routines' pooled chain slabs; each worker
+// writes only the Edge structs of its own routine, so the result is
+// byte-identical to a serial run. The returned duration is the
 // aggregate compute time across both passes (the stage's CPU time).
 // The passes record their spans under sp, the stage's span.
 func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config, sp obs.Span) (*PSG, time.Duration) {
-	// Pre-size the slabs from the terminator classes so construction
-	// avoids append-doubling: the node count is exact except that
-	// multiway blocks outside loops don't get a branch node (a small
-	// overcount), and the edge count is capped by the observed flow-edge
-	// density (≈2 per node across the benchmark profiles; exceeding the
-	// guess just falls back to amortized growth). The same walk counts
-	// the entry, exit and per-(routine, entrance) caller-edge totals, so
-	// EntryNodes, ExitNodes and CallerEdges are carved as exact-capacity
-	// windows of four slabs instead of per-routine lists — buildRoutine's
-	// appends fill them in place.
-	n := len(p.Routines)
-	entryOff := make([]int32, n+1)
-	for ri, r := range p.Routines {
-		entryOff[ri+1] = entryOff[ri] + int32(len(r.Entries))
-	}
-	ebOff := make([]int32, n+1)
-	exOff := make([]int32, n+1)
-	callerOff := make([]int32, entryOff[n]+1)
-	nodeCap := 0
-	for gi, gr := range graphs {
-		ebOff[gi+1] = ebOff[gi] + int32(len(gr.EntryBlocks))
-		exits := int32(0)
-		nodeCap += len(gr.EntryBlocks)
-		for _, b := range gr.Blocks {
-			switch b.Term {
-			case cfg.TermExit:
-				nodeCap++
-				exits++
-			case cfg.TermUnknownJump, cfg.TermMultiway:
-				nodeCap++
-			case cfg.TermCall:
-				nodeCap += 2
-				// Mirrors buildRoutine's caller-edge registration.
-				if in := gr.Terminator(b); in.Op == isa.OpJsr && in.Target >= 0 {
-					callerOff[entryOff[in.Target]+int32(in.Imm)+1]++
-				}
-			}
-		}
-		exOff[gi+1] = exOff[gi] + exits
-	}
-	for k := int32(0); k < entryOff[n]; k++ {
-		callerOff[k+1] += callerOff[k]
-	}
-	entrySlab := make([]int, ebOff[n])
-	exitSlab := make([]int, exOff[n])
-	pairSlab := make([][]int, entryOff[n])
-	edgeSlab := make([]int, callerOff[entryOff[n]])
-	g := &PSG{
-		Prog:        p,
-		Graphs:      graphs,
-		Nodes:       make([]Node, 0, nodeCap),
-		Edges:       make([]Edge, 0, 2*nodeCap),
-		EntryNodes:  make([][]int, n),
-		ExitNodes:   make([][]int, n),
-		CallerEdges: make([][][]int, n),
-	}
-	for ri := range p.Routines {
-		g.EntryNodes[ri] = entrySlab[ebOff[ri]:ebOff[ri]:ebOff[ri+1]]
-		g.ExitNodes[ri] = exitSlab[exOff[ri]:exOff[ri]:exOff[ri+1]]
-		pairs := pairSlab[entryOff[ri]:entryOff[ri+1]]
-		for e := range pairs {
-			k := entryOff[ri] + int32(e)
-			pairs[e] = edgeSlab[callerOff[k]:callerOff[k]:callerOff[k+1]]
-		}
-		g.CallerEdges[ri] = pairs
-	}
 	serial := time.Now()
 	ssp := sp.Begin("psg structure")
-	var scratch buildScratch
-	tasks := make([]labelTask, len(p.Routines))
-	g.nodeStart = make([]int32, len(p.Routines)+1)
-	g.edgeStart = make([]int32, len(p.Routines)+1)
-	for ri := range p.Routines {
-		g.nodeStart[ri] = int32(len(g.Nodes))
-		g.edgeStart[ri] = int32(len(g.Edges))
-		g.buildRoutine(&tasks[ri], ri, conf, &scratch)
-	}
-	g.nodeStart[len(p.Routines)] = int32(len(g.Nodes))
-	g.edgeStart[len(p.Routines)] = int32(len(g.Edges))
-	g.buildAdjacency()
+	g, tasks := layoutPSG(p, graphs, conf, nil, nil)
 	ssp.Arg("nodes", int64(len(g.Nodes))).Arg("edges", int64(len(g.Edges))).End()
 	cpu := time.Since(serial)
-	workers := conf.Workers()
+	cpu += g.labelAll(tasks, conf, sp)
+	cpu += g.computeSavedRestored(conf.Workers(), sp)
+	return g, cpu
+}
+
+// layoutPSG lays out a fresh PSG routine by routine in index order, so
+// node and edge IDs are deterministic — independent of
+// Config.Parallelism — and both slabs are routine-contiguous. A routine
+// that clean marks copies its node and edge range from prev, converged
+// sets and labels included, with IDs shifted to their new offsets;
+// every other routine runs the structural pass (buildRoutine) and
+// yields its labeling task, in routine order. With prev == nil every
+// routine is built: Analyze's layout. A copied range keeps its creation
+// order, so the slabs are exactly those a from-scratch build of the
+// same program lays out, and index derives the same lists from them.
+// Only clean ranges of prev are read.
+//
+// The slabs are presized so construction avoids append-doubling: a
+// copied range's lengths are exact, and a built routine's node count
+// comes from its terminator classes — exact except that multiway blocks
+// outside loops get no branch node (a small overcount) — with its edges
+// capped by the observed flow-edge density (≈2 per node across the
+// benchmark profiles; exceeding the guess falls back to amortized
+// growth). The structural pass shares one scratch buffer across
+// routines, so its allocation count is O(routines) rather than
+// O(nodes + edges).
+func layoutPSG(p *prog.Program, graphs []*cfg.Graph, conf Config, prev *PSG, clean []bool) (*PSG, []labelTask) {
+	copied := func(ri int) bool { return prev != nil && clean[ri] }
+	nodeCap, edgeCap, built := 0, 0, 0
+	for ri, gr := range graphs {
+		if copied(ri) {
+			nodeCap += int(prev.nodeStart[ri+1] - prev.nodeStart[ri])
+			edgeCap += int(prev.edgeStart[ri+1] - prev.edgeStart[ri])
+			continue
+		}
+		built++
+		nodes := len(gr.EntryBlocks)
+		for _, b := range gr.Blocks {
+			switch b.Term {
+			case cfg.TermExit, cfg.TermUnknownJump, cfg.TermMultiway:
+				nodes++
+			case cfg.TermCall:
+				nodes += 2
+			}
+		}
+		nodeCap += nodes
+		edgeCap += 2 * nodes
+	}
+	g := &PSG{
+		Prog:   p,
+		Graphs: graphs,
+		Nodes:  make([]Node, 0, nodeCap),
+		Edges:  make([]Edge, 0, edgeCap),
+	}
+	tasks := make([]labelTask, 0, built)
+	var scratch buildScratch
+	for ri := range graphs {
+		if !copied(ri) {
+			tasks = append(tasks, labelTask{})
+			g.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
+			continue
+		}
+		nlo, nhi := int(prev.nodeStart[ri]), int(prev.nodeStart[ri+1])
+		elo, ehi := int(prev.edgeStart[ri]), int(prev.edgeStart[ri+1])
+		nd, ed := len(g.Nodes)-nlo, len(g.Edges)-elo
+		g.Nodes = append(g.Nodes, prev.Nodes[nlo:nhi]...)
+		g.Edges = append(g.Edges, prev.Edges[elo:ehi]...)
+		if nd != 0 {
+			for i := nlo + nd; i < nhi+nd; i++ {
+				g.Nodes[i].ID += nd
+			}
+		}
+		if nd != 0 || ed != 0 {
+			for i := elo + ed; i < ehi+ed; i++ {
+				e := &g.Edges[i]
+				e.ID += ed
+				e.Src += nd
+				e.Dst += nd
+			}
+		}
+	}
+	g.index()
+	return g, tasks
+}
+
+// labelAll runs the labeling pass over tasks on the worker pool, under
+// a "label" span of sp, and then releases their chain-slab arena. It
+// returns the pass's aggregate compute time.
+func (g *PSG) labelAll(tasks []labelTask, conf Config, sp obs.Span) time.Duration {
 	flowEdges := conf.Metrics.Counter("label/flow_edges")
 	defuseLinks := conf.Metrics.Counter("label/defuse_links")
 	chainSteps := conf.Metrics.Counter("label/chain_steps")
-	cpu += par.ForEachSpan(sp, "label", len(tasks), workers, func(ri int) {
-		st := tasks[ri].label(g)
-		flowEdges.Add(uint64(len(tasks[ri].refs)))
+	cpu := par.ForEachSpan(sp, "label", len(tasks), conf.Workers(), func(i int) {
+		st := tasks[i].label(g)
+		flowEdges.Add(uint64(len(tasks[i].refs)))
 		defuseLinks.Add(st.links)
 		chainSteps.Add(st.steps)
 	})
 	releaseTasks(tasks)
-	cpu += g.computeSavedRestored(workers, sp)
-	return g, cpu
+	return cpu
+}
+
+// index derives everything that depends on the slab layout from the
+// finished slabs: the per-routine slab bounds; EntryNodes, indexed by
+// EntryIdx; ExitNodes (real exits) and CallerEdges (the call-return
+// edges of direct call nodes), both in ID order, which is the
+// structural pass's creation order; and then the CSR adjacency. The
+// lists are exact-capacity windows of one shared ID slab, and their
+// headers of a second, so the derivation costs a fixed handful of
+// allocations whatever the routine count.
+//
+// It relies on three properties of the slabs: both are
+// routine-contiguous in index order, every entrance has exactly one
+// entry node, and every call node's target entrance exists. A layout
+// has them by construction; Rehydrate checks them in an untrusted
+// state before deriving anything.
+func (g *PSG) index() {
+	nR := len(g.Prog.Routines)
+	// Per-routine offsets, carved from one allocation: the node and edge
+	// slab bounds, then each routine's first entrance and first real exit
+	// in the ID slab.
+	off := make([]int32, 4*(nR+1))
+	nodeStart, off := off[:nR+1:nR+1], off[nR+1:]
+	edgeStart, off := off[:nR+1:nR+1], off[nR+1:]
+	entryOff, exitOff := off[:nR+1:nR+1], off[nR+1:]
+	for ri, r := range g.Prog.Routines {
+		entryOff[ri+1] = entryOff[ri] + int32(len(r.Entries))
+	}
+	nEntries := entryOff[nR]
+	// callerOff[k] is the offset of entrance k's caller list, entrances
+	// numbered across routines through entryOff.
+	callerOff := make([]int32, nEntries+1)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		nodeStart[n.Routine+1]++
+		if n.Kind == NodeExit && !n.Unknown {
+			exitOff[n.Routine+1]++
+		}
+	}
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		src := &g.Nodes[e.Src]
+		edgeStart[src.Routine+1]++
+		if e.Kind == EdgeCallReturn && src.Kind == NodeCall && src.CallTarget >= 0 {
+			callerOff[entryOff[src.CallTarget]+int32(src.CallEntry)+1]++
+		}
+	}
+	for ri := 0; ri < nR; ri++ {
+		nodeStart[ri+1] += nodeStart[ri]
+		edgeStart[ri+1] += edgeStart[ri]
+		exitOff[ri+1] += exitOff[ri]
+	}
+	for k := int32(0); k < nEntries; k++ {
+		callerOff[k+1] += callerOff[k]
+	}
+
+	ids := make([]int, nEntries+exitOff[nR]+callerOff[nEntries])
+	entrySlab, ids := ids[:nEntries:nEntries], ids[nEntries:]
+	exitSlab, callerSlab := ids[:exitOff[nR]:exitOff[nR]], ids[exitOff[nR]:]
+	heads := make([][]int, 2*int32(nR)+nEntries)
+	g.EntryNodes, heads = heads[:nR:nR], heads[nR:]
+	g.ExitNodes, heads = heads[:nR:nR], heads[nR:]
+	g.CallerEdges = make([][][]int, nR)
+	for ri := 0; ri < nR; ri++ {
+		lo, hi := entryOff[ri], entryOff[ri+1]
+		g.EntryNodes[ri] = entrySlab[lo:hi:hi]
+		g.ExitNodes[ri] = exitSlab[exitOff[ri]:exitOff[ri]:exitOff[ri+1]]
+		g.CallerEdges[ri] = heads[lo:hi:hi]
+		for k := lo; k < hi; k++ {
+			heads[k] = callerSlab[callerOff[k]:callerOff[k]:callerOff[k+1]]
+		}
+	}
+	// Fill the windows: entry nodes by entrance, exits and caller edges
+	// appended in ID order. Each window's capacity is its exact length,
+	// so no append reallocates.
+	for i := range g.Nodes {
+		switch n := &g.Nodes[i]; {
+		case n.Kind == NodeEntry:
+			g.EntryNodes[n.Routine][n.EntryIdx] = i
+		case n.Kind == NodeExit && !n.Unknown:
+			g.ExitNodes[n.Routine] = append(g.ExitNodes[n.Routine], i)
+		}
+	}
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		if call := &g.Nodes[e.Src]; e.Kind == EdgeCallReturn && call.Kind == NodeCall && call.CallTarget >= 0 {
+			callers := &g.CallerEdges[call.CallTarget][call.CallEntry]
+			*callers = append(*callers, i)
+		}
+	}
+	g.nodeStart, g.edgeStart = nodeStart, edgeStart
+	g.buildAdjacency()
 }
 
 // newNode appends a node with the common fields set and returns its ID;
@@ -571,8 +640,8 @@ func (t *labelTask) label(g *PSG) labelStats {
 
 // releaseTasks returns the tasks' chain-slab arena to its pool, after
 // the labeling loop has consumed every task — or without labeling at
-// all, for the incremental assembly paths that abandon a batch of built
-// tasks when a structural-reuse attempt fails. One structural pass uses
+// all, for the shape-preserving re-assembly, which abandons a batch of
+// built tasks when its structure check fails. One structural pass uses
 // one arena, so tasks sharing it are contiguous.
 func releaseTasks(tasks []labelTask) {
 	var last *defUseArena
@@ -623,11 +692,11 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 	du := scratch.defuse.take()
 	rn := du.routineNodes(len(graph.Blocks))
 
-	// Entry nodes: one per entrance (§3.1).
+	// Entry nodes: one per entrance (§3.1), the routine's first nodes.
+	first := len(g.Nodes)
 	for ei, blockID := range graph.EntryBlocks {
 		id := g.newNode(NodeEntry, ri, blockID)
 		g.Nodes[id].EntryIdx = ei
-		g.EntryNodes[ri] = append(g.EntryNodes[ri], id)
 	}
 
 	exitOrdinal := 0
@@ -637,7 +706,6 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 			id := g.newNode(NodeExit, ri, b.ID)
 			g.Nodes[id].EntryIdx = exitOrdinal
 			exitOrdinal++
-			g.ExitNodes[ri] = append(g.ExitNodes[ri], id)
 			rn.sinkAt[b.ID] = int32(id)
 		case cfg.TermUnknownJump:
 			id := g.newNode(NodeExit, ri, b.ID)
@@ -662,15 +730,7 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 			// direct calls, pinned to the calling-standard summary
 			// for indirect calls (§3.5).
 			eid := g.addEdge(EdgeCallReturn, callID, retID)
-			if callTarget >= 0 {
-				// CallerEdges is nil while the shape-preserving
-				// re-assembly rebuilds a dirty routine (it keeps the
-				// previous registration lists, which its structure check
-				// proves still correct), so registration is skipped.
-				if g.CallerEdges != nil {
-					g.CallerEdges[callTarget][callEntry] = append(g.CallerEdges[callTarget][callEntry], eid)
-				}
-			} else {
+			if callTarget < 0 {
 				s := callstd.UnknownCallSummary()
 				e := &g.Edges[eid]
 				e.MayUse, e.MustDef, e.MayDef = s.Used, s.Defined, s.Killed
@@ -689,7 +749,7 @@ func (g *PSG) buildRoutine(t *labelTask, ri int, conf Config, scratch *buildScra
 	}
 
 	du.build(graph, rn)
-	g.discoverFlowEdgesSparse(t, graph, rn, du, scratch)
+	g.discoverFlowEdgesSparse(t, graph, first, rn, du, scratch)
 	t.arena = scratch.defuse
 }
 

@@ -76,8 +76,11 @@ import (
 // rebuilt nodes carry their new blocks. The dirty routines' ranges are
 // then rebuilt in the destination slabs, verified against their
 // previous structure, and every layout-derived structure is kept.
-// Otherwise the general path lays out fresh slabs, copying clean
-// routines' ranges from prev with their IDs shifted to the new offsets.
+// Otherwise the general path lays out fresh slabs through Analyze's own
+// layout routine (layoutPSG), which copies clean routines' ranges from
+// prev with their IDs shifted to the new offsets and builds the rest,
+// and derives the lists, bounds and adjacency from the slabs (index)
+// exactly as a from-scratch analysis does.
 
 // IncrementalStats records what a re-analysis actually did: how much of
 // the previous analysis it reused and how much it re-solved. The
@@ -259,19 +262,9 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 			tasks, exitsKept, shapeSame = a.assembleSameShape(prev, dirty, oldGraphs, own, conf)
 		}
 		if !shapeSame {
-			tasks = a.assemblePSG(prev, clean, dirty, conf)
+			a.PSG, tasks = layoutPSG(patched, a.Graphs, conf, prev.PSG, clean)
 		}
-		cpu := time.Since(start)
-		flowEdges := conf.Metrics.Counter("label/flow_edges")
-		defuseLinks := conf.Metrics.Counter("label/defuse_links")
-		chainSteps := conf.Metrics.Counter("label/chain_steps")
-		cpu += par.ForEachSpan(sp, "label", len(tasks), workers, func(i int) {
-			st := tasks[i].label(a.PSG)
-			flowEdges.Add(uint64(len(tasks[i].refs)))
-			defuseLinks.Add(st.links)
-			chainSteps.Add(st.steps)
-		})
-		releaseTasks(tasks)
+		cpu := time.Since(start) + a.PSG.labelAll(tasks, conf, sp)
 		srCPU, shared := a.incrementalSavedRestored(prev, cg, clean, dirty)
 		srShared = shared
 		a.Stats.PSGBuildCPU = cpu + srCPU
@@ -560,12 +553,7 @@ func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, oldGraphs []*c
 	if !own {
 		nodes, edges = slices.Clone(nodes), slices.Clone(edges)
 	}
-	nodeStart, edgeStart := pg.routineBounds()
-	n := len(a.Prog.Routines)
-	// Fresh entry/exit lists and nil CallerEdges: prev's lists may be
-	// shared along the chain, so buildRoutine must not append to them
-	// (CallerEdges registration is suppressed by the nil).
-	en, ex := make([][]int, n), make([][]int, n)
+	nodeStart, edgeStart := pg.nodeStart, pg.edgeStart
 	var bakN []Node
 	var bakE []Edge
 	var scratch buildScratch
@@ -581,12 +569,10 @@ func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, oldGraphs []*c
 		clear(nodes[nlo:nhi])
 		clear(edges[elo:ehi])
 		v := &PSG{
-			Prog:       a.Prog,
-			Graphs:     a.Graphs,
-			Nodes:      nodes[:nlo:nhi],
-			Edges:      edges[:elo:ehi],
-			EntryNodes: en,
-			ExitNodes:  ex,
+			Prog:   a.Prog,
+			Graphs: a.Graphs,
+			Nodes:  nodes[:nlo:nhi],
+			Edges:  edges[:elo:ehi],
 		}
 		tasks = append(tasks, labelTask{})
 		v.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
@@ -595,8 +581,9 @@ func (a *Analysis) assembleSameShape(prev *Analysis, dirty []int, oldGraphs []*c
 			releaseTasks(tasks)
 			return nil, false, false
 		}
-		for _, x := range ex[ri] {
-			if isRetBlock(a.Graphs[ri], nodes[x].Block) != isRetBlock(oldGraphs[i], bakN[x-nlo].Block) {
+		for x := nlo; x < nhi; x++ {
+			if n := &nodes[x]; n.Kind == NodeExit && !n.Unknown &&
+				isRetBlock(a.Graphs[ri], n.Block) != isRetBlock(oldGraphs[i], bakN[x-nlo].Block) {
 				exitsKept = false
 			}
 		}
@@ -660,116 +647,6 @@ func (a *Analysis) linksUnchanged(prev *Analysis, dirty []int, exitsKept bool) b
 		}
 	}
 	return true
-}
-
-// assemblePSG is the general path: it lays out fresh slabs, copying
-// clean routines' node and edge ranges (converged sets and labels
-// included) from prev with IDs shifted to their new offsets, and
-// running the normal structural pass for dirty routines, whose
-// labeling tasks it returns. It reads only clean ranges of prev's
-// slabs.
-//
-// The interleaved index-order walk reproduces exactly the slab layout,
-// entry/exit index lists and CallerEdges append order of a from-scratch
-// buildPSG: nodes and edges are routine-contiguous in routine order,
-// and within a routine the copied range preserves creation order.
-func (a *Analysis) assemblePSG(prev *Analysis, clean []bool, dirty []int, conf Config) []labelTask {
-	patched, graphs := a.Prog, a.Graphs
-	pg := prev.PSG
-	nNew := len(patched.Routines)
-	oldNodeStart, oldEdgeStart := pg.routineBounds()
-
-	nodeCap, edgeCap := 0, 0
-	for ri := range patched.Routines {
-		if clean[ri] {
-			nodeCap += int(oldNodeStart[ri+1] - oldNodeStart[ri])
-			edgeCap += int(oldEdgeStart[ri+1] - oldEdgeStart[ri])
-		} else {
-			g := graphs[ri]
-			nodeCap += len(g.EntryBlocks)
-			for _, b := range g.Blocks {
-				switch b.Term {
-				case cfg.TermExit, cfg.TermUnknownJump, cfg.TermMultiway:
-					nodeCap++
-				case cfg.TermCall:
-					nodeCap += 2
-				}
-			}
-			edgeCap += 64 // amortized growth covers the rest
-		}
-	}
-
-	g := &PSG{
-		Prog:        patched,
-		Graphs:      graphs,
-		Nodes:       make([]Node, 0, nodeCap),
-		Edges:       make([]Edge, 0, nodeCap*2+edgeCap),
-		EntryNodes:  make([][]int, nNew),
-		ExitNodes:   make([][]int, nNew),
-		CallerEdges: make([][][]int, nNew),
-	}
-	for ri := range patched.Routines {
-		g.CallerEdges[ri] = make([][]int, len(patched.Routines[ri].Entries))
-	}
-	a.PSG = g
-
-	g.nodeStart = make([]int32, nNew+1)
-	g.edgeStart = make([]int32, nNew+1)
-	var scratch buildScratch
-	tasks := make([]labelTask, 0, len(dirty))
-	for ri := range patched.Routines {
-		g.nodeStart[ri] = int32(len(g.Nodes))
-		g.edgeStart[ri] = int32(len(g.Edges))
-		if !clean[ri] {
-			tasks = append(tasks, labelTask{})
-			g.buildRoutine(&tasks[len(tasks)-1], ri, conf, &scratch)
-			continue
-		}
-		nlo, nhi := int(oldNodeStart[ri]), int(oldNodeStart[ri+1])
-		elo, ehi := int(oldEdgeStart[ri]), int(oldEdgeStart[ri+1])
-		nd := len(g.Nodes) - nlo
-		ed := len(g.Edges) - elo
-		g.Nodes = append(g.Nodes, pg.Nodes[nlo:nhi]...)
-		g.Edges = append(g.Edges, pg.Edges[elo:ehi]...)
-		if nd != 0 {
-			for i := nlo + nd; i < nhi+nd; i++ {
-				g.Nodes[i].ID += nd
-			}
-		}
-		if nd != 0 || ed != 0 {
-			for i := elo + ed; i < ehi+ed; i++ {
-				e := &g.Edges[i]
-				e.ID += ed
-				e.Src += nd
-				e.Dst += nd
-			}
-		}
-		for _, id := range pg.EntryNodes[ri] {
-			g.EntryNodes[ri] = append(g.EntryNodes[ri], id+nd)
-		}
-		for _, id := range pg.ExitNodes[ri] {
-			g.ExitNodes[ri] = append(g.ExitNodes[ri], id+nd)
-		}
-		// Re-register the copied call-return edges with their targets.
-		// Scanning the copied range in edge-ID order reproduces the
-		// creation order of a from-scratch build, so each
-		// CallerEdges[tgt][entry] list is byte-identical.
-		for i := elo + ed; i < ehi+ed; i++ {
-			e := &g.Edges[i]
-			if e.Kind != EdgeCallReturn {
-				continue
-			}
-			call := &g.Nodes[e.Src]
-			if call.CallTarget >= 0 {
-				g.CallerEdges[call.CallTarget][call.CallEntry] =
-					append(g.CallerEdges[call.CallTarget][call.CallEntry], e.ID)
-			}
-		}
-	}
-	g.nodeStart[nNew] = int32(len(g.Nodes))
-	g.edgeStart[nNew] = int32(len(g.Edges))
-	g.buildAdjacency()
-	return tasks
 }
 
 // incrementalSavedRestored recomputes the §3.4 sets: clean routines

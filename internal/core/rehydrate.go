@@ -13,9 +13,10 @@ import (
 
 // SavedState is the pointer-free image of a converged analysis: flat,
 // columnar copies of everything the solver computed — the PSG slabs
-// with their converged sets, the §3.4 frame facts, the summaries, the
-// callgraph condensation and wave schedules — plus the option key and
-// per-routine body hashes that pin what the state is valid for.
+// with their converged sets, the §3.4 frame facts, the callgraph
+// condensation and wave schedules — plus the option key and per-routine
+// body hashes that pin what the state is valid for. The summaries are
+// not stored: they are read off the node slab.
 //
 // Export produces one; Rehydrate turns one back into a working
 // *Analysis without re-running the solver. internal/snapshot gives the
@@ -70,11 +71,6 @@ type SavedState struct {
 	FrameClean       []bool
 	FrameHasIndirect []bool
 	FrameLocalSaved  []regset.Set
-
-	// Summaries duplicates the per-routine summaries so snapshot
-	// readers can answer summary queries without rehydrating the PSG.
-	// Rehydrate itself recollects them from the node slab.
-	Summaries []RoutineSummary
 }
 
 // Export copies the analysis's converged state into a SavedState. The
@@ -152,18 +148,6 @@ func (a *Analysis) Export() *SavedState {
 		st.CalleeWave[c] = int32(cg.CalleeFirstWave(c))
 		st.CallerWave[c] = int32(cg.CallerFirstWave(c))
 	}
-	st.Summaries = make([]RoutineSummary, len(a.Summaries))
-	for i, s := range a.Summaries {
-		st.Summaries[i] = RoutineSummary{
-			CallUsed:      append([]regset.Set(nil), s.CallUsed...),
-			CallDefined:   append([]regset.Set(nil), s.CallDefined...),
-			CallKilled:    append([]regset.Set(nil), s.CallKilled...),
-			LiveAtEntry:   append([]regset.Set(nil), s.LiveAtEntry...),
-			LiveAtExit:    append([]regset.Set(nil), s.LiveAtExit...),
-			ExitBlocks:    append([]int(nil), s.ExitBlocks...),
-			SavedRestored: s.SavedRestored,
-		}
-	}
 	return st
 }
 
@@ -195,10 +179,12 @@ func (e *ProgramMismatchError) Error() string {
 // Rehydrate rebuilds a working *Analysis from a SavedState without
 // re-running the solver: the CFGs and callgraph are reconstructed from
 // the program (cheap, embarrassingly parallel), the PSG slabs and
-// converged sets are taken from the state, and the adjacency and
-// return-site links are rebuilt from the slabs. The result is
-// indistinguishable from the Analysis that produced the state: queries
-// answer identically and Reanalyze accepts it as a warm start.
+// converged sets are taken from the state, everything layout-dependent
+// — slab bounds, entry, exit and caller-edge lists, adjacency — is
+// derived from the slabs by index, as for a fresh analysis, and the
+// return-site links are rebuilt. The result is indistinguishable from
+// the Analysis that produced the state: queries answer identically and
+// Reanalyze accepts it as a warm start.
 //
 // The options must resolve to the same Config.Key the state was
 // computed under (ConfigMismatchError otherwise), and the program's
@@ -259,7 +245,7 @@ func RehydrateContext(ctx context.Context, p *prog.Program, st *SavedState, opts
 	if err != nil {
 		return nil, err
 	}
-	g.buildAdjacency()
+	g.index()
 	g.linkReturnSites(conf)
 	a.PSG = g
 	if err := ctx.Err(); err != nil {
@@ -290,8 +276,7 @@ func (st *SavedState) checkShape() error {
 	}
 	r := len(st.BodyHashes)
 	if len(st.SavedRestored) != r || len(st.FrameClean) != r ||
-		len(st.FrameHasIndirect) != r || len(st.FrameLocalSaved) != r ||
-		len(st.Summaries) != r {
+		len(st.FrameHasIndirect) != r || len(st.FrameLocalSaved) != r {
 		return statef("per-routine columns have unequal lengths")
 	}
 	if len(st.CalleeWave) != len(st.Components) || len(st.CallerWave) != len(st.Components) {
@@ -329,9 +314,11 @@ func (st *SavedState) checkCondensation(cg *callgraph.Graph) error {
 	return nil
 }
 
-// buildPSG reassembles the PSG from the state's columns, validating
-// every index so corrupt states are rejected rather than crashing the
-// adjacency or return-site rebuild.
+// buildPSG reassembles the PSG slabs from the state's columns,
+// validating every index and the slab properties index relies on — both
+// slabs routine-contiguous, one entry node per entrance, call targets in
+// range — so corrupt states are rejected rather than crashing the
+// layout derivation, the return-site rebuild or a later re-analysis.
 func (st *SavedState) buildPSG(p *prog.Program, graphs []*cfg.Graph) (*PSG, error) {
 	nR := len(p.Routines)
 	g := &PSG{
@@ -339,24 +326,21 @@ func (st *SavedState) buildPSG(p *prog.Program, graphs []*cfg.Graph) (*PSG, erro
 		Graphs:        graphs,
 		Nodes:         make([]Node, len(st.NodeKind)),
 		Edges:         make([]Edge, len(st.EdgeKind)),
-		EntryNodes:    make([][]int, nR),
-		ExitNodes:     make([][]int, nR),
-		CallerEdges:   make([][][]int, nR),
 		SavedRestored: append([]regset.Set(nil), st.SavedRestored...),
 		frames:        make([]FrameFact, nR),
 	}
-	for ri := range p.Routines {
-		g.EntryNodes[ri] = make([]int, len(p.Routines[ri].Entries))
-		for e := range g.EntryNodes[ri] {
-			g.EntryNodes[ri][e] = -1
-		}
-		g.CallerEdges[ri] = make([][]int, len(p.Routines[ri].Entries))
+	// entryOff numbers the entrances across routines; seen marks those
+	// with an entry node.
+	entryOff := make([]int, nR+1)
+	for ri, r := range p.Routines {
+		entryOff[ri+1] = entryOff[ri] + len(r.Entries)
 		g.frames[ri] = FrameFact{
 			Clean:       st.FrameClean[ri],
 			HasIndirect: st.FrameHasIndirect[ri],
 			LocalSaved:  st.FrameLocalSaved[ri],
 		}
 	}
+	seen := make([]bool, entryOff[nR])
 
 	prevRoutine := int32(0)
 	for i := range g.Nodes {
@@ -392,17 +376,14 @@ func (st *SavedState) buildPSG(p *prog.Program, graphs []*cfg.Graph) (*PSG, erro
 		}
 		switch kind {
 		case NodeEntry:
-			if n.EntryIdx < 0 || n.EntryIdx >= len(g.EntryNodes[ri]) {
+			if n.EntryIdx < 0 || n.EntryIdx >= len(p.Routines[ri].Entries) {
 				return nil, statef("node %d entry index %d out of range", i, n.EntryIdx)
 			}
-			if g.EntryNodes[ri][n.EntryIdx] != -1 {
+			k := entryOff[ri] + n.EntryIdx
+			if seen[k] {
 				return nil, statef("routine %d entrance %d has two entry nodes", ri, n.EntryIdx)
 			}
-			g.EntryNodes[ri][n.EntryIdx] = i
-		case NodeExit:
-			if !n.Unknown {
-				g.ExitNodes[ri] = append(g.ExitNodes[ri], i)
-			}
+			seen[k] = true
 		case NodeCall:
 			if n.CallTarget < -1 || n.CallTarget >= nR {
 				return nil, statef("node %d call target %d out of range", i, n.CallTarget)
@@ -414,14 +395,15 @@ func (st *SavedState) buildPSG(p *prog.Program, graphs []*cfg.Graph) (*PSG, erro
 		}
 		g.Nodes[i] = n
 	}
-	for ri := range g.EntryNodes {
-		for e, id := range g.EntryNodes[ri] {
-			if id == -1 {
-				return nil, statef("routine %d entrance %d has no entry node", ri, e)
+	for ri := 0; ri < nR; ri++ {
+		for k := entryOff[ri]; k < entryOff[ri+1]; k++ {
+			if !seen[k] {
+				return nil, statef("routine %d entrance %d has no entry node", ri, k-entryOff[ri])
 			}
 		}
 	}
 
+	lastRoutine := 0
 	for i := range g.Edges {
 		kind := EdgeKind(st.EdgeKind[i])
 		if kind > EdgeCallReturn {
@@ -431,9 +413,14 @@ func (st *SavedState) buildPSG(p *prog.Program, graphs []*cfg.Graph) (*PSG, erro
 		if src < 0 || int(src) >= len(g.Nodes) || dst < 0 || int(dst) >= len(g.Nodes) {
 			return nil, statef("edge %d endpoints (%d, %d) out of range", i, src, dst)
 		}
-		if g.Nodes[src].Routine != g.Nodes[dst].Routine {
+		ri := g.Nodes[src].Routine
+		if ri != g.Nodes[dst].Routine {
 			return nil, statef("edge %d crosses routines", i)
 		}
+		if ri < lastRoutine {
+			return nil, statef("edge %d breaks routine-contiguous slab order", i)
+		}
+		lastRoutine = ri
 		g.Edges[i] = Edge{
 			ID:      i,
 			Kind:    kind,
@@ -442,13 +429,6 @@ func (st *SavedState) buildPSG(p *prog.Program, graphs []*cfg.Graph) (*PSG, erro
 			MayUse:  st.EdgeMayUse[i],
 			MayDef:  st.EdgeMayDef[i],
 			MustDef: st.EdgeMustDef[i],
-		}
-		if kind == EdgeCallReturn {
-			call := &g.Nodes[src]
-			if call.Kind == NodeCall && call.CallTarget >= 0 {
-				g.CallerEdges[call.CallTarget][call.CallEntry] =
-					append(g.CallerEdges[call.CallTarget][call.CallEntry], i)
-			}
 		}
 	}
 	return g, nil

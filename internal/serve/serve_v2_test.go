@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/snapshot"
 	"repro/internal/sxe"
 )
 
@@ -522,6 +524,55 @@ func TestSnapshotErrors(t *testing.T) {
 	if status != http.StatusNotFound {
 		t.Errorf("load without program: status %d, want 404: %s", status, body)
 	}
+}
+
+// TestSnapshotLoadRefusesNonContiguousEdges loads a well-formed image
+// whose edge slab is not routine-contiguous: testSrc's saved state with
+// the six edge columns rotated so main's edges come after double's. The
+// checksum is recomputed and every index is in range, so only core's
+// slab-order check catches it. The daemon must answer 400 and cache
+// nothing, rather than hand later patches and queries an analysis whose
+// routine ranges name the wrong edges.
+func TestSnapshotLoadRefusesNonContiguousEdges(t *testing.T) {
+	_, c1 := newTestClient(t, Config{})
+	id := c1.mustLoad()
+	status, body := c1.post("/v1/snapshot", api.SnapshotRequest{Action: "save", Program: id})
+	if status != http.StatusOK {
+		t.Fatalf("save: status %d: %s", status, body)
+	}
+	var saved api.SnapshotResponse
+	if err := json.Unmarshal(body, &saved); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(saved.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snap.State
+	k := 0 // main's edges lead the slab
+	for k < len(st.EdgeSrc) && st.NodeRoutine[st.EdgeSrc[k]] == 0 {
+		k++
+	}
+	if k == 0 || k == len(st.EdgeSrc) {
+		t.Fatalf("main has %d of %d edges; rotating them changes no order", k, len(st.EdgeSrc))
+	}
+	st.EdgeKind, st.EdgeSrc, st.EdgeDst = rotate(st.EdgeKind, k), rotate(st.EdgeSrc, k), rotate(st.EdgeDst, k)
+	st.EdgeMayUse, st.EdgeMayDef, st.EdgeMustDef = rotate(st.EdgeMayUse, k), rotate(st.EdgeMayDef, k), rotate(st.EdgeMustDef, k)
+
+	s2, c2 := newTestClient(t, Config{})
+	c2.mustLoad()
+	status, body = c2.post("/v1/snapshot", api.SnapshotRequest{Action: "load", Snapshot: snap.Encode()})
+	if status != http.StatusBadRequest {
+		t.Errorf("load: status %d, want 400: %s", status, body)
+	}
+	if keys := s2.analyses.keys(); len(keys) != 0 {
+		t.Errorf("refused load cached analyses %v", keys)
+	}
+}
+
+// rotate returns s with its first k elements moved to the end.
+func rotate[T any](s []T, k int) []T {
+	return append(slices.Clone(s[k:]), s[:k]...)
 }
 
 // TestOptimizeEndpoint drives POST /v1/optimize end to end: the

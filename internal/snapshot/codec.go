@@ -12,9 +12,10 @@ import (
 )
 
 // Magic identifies snapshot images; the trailing digit is the format
-// version. A format change (new column, different width) bumps it, and
-// Decode rejects other versions rather than misreading them.
-var Magic = [4]byte{'P', 'S', 'S', '1'}
+// version. A format change (new or dropped column, different width)
+// bumps it, and Decode rejects other versions rather than misreading
+// them.
+var Magic = [4]byte{'P', 'S', 'S', '2'}
 
 // ErrBadMagic is returned when the input does not start with the
 // snapshot magic number (wrong file, or a future format version).
@@ -48,20 +49,6 @@ func (s *Snapshot) Encode() []byte {
 	}
 	for _, v := range st.FrameLocalSaved {
 		w.u64(uint64(v))
-	}
-	for _, sum := range st.Summaries {
-		w.uvarint(uint64(len(sum.CallUsed)))
-		w.uvarint(uint64(len(sum.LiveAtExit)))
-		for e := range sum.CallUsed {
-			w.u64(uint64(sum.CallUsed[e]))
-			w.u64(uint64(sum.CallDefined[e]))
-			w.u64(uint64(sum.CallKilled[e]))
-			w.u64(uint64(sum.LiveAtEntry[e]))
-		}
-		for x := range sum.LiveAtExit {
-			w.u64(uint64(sum.LiveAtExit[x]))
-			w.uvarint(uint64(sum.ExitBlocks[x]))
-		}
 	}
 
 	w.uvarint(uint64(len(st.Components)))
@@ -104,7 +91,7 @@ func (s *Snapshot) Encode() []byte {
 func (s *Snapshot) encodedSizeHint() int {
 	st := s.State
 	return 64 + len(s.ProgramID) + len(st.OptionKey) +
-		len(st.BodyHashes)*34 + len(st.Summaries)*48 +
+		len(st.BodyHashes)*34 +
 		len(st.NodeKind)*54 + len(st.EdgeKind)*33
 }
 
@@ -141,29 +128,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	st.FrameClean = r.bools(nR)
 	st.FrameHasIndirect = r.bools(nR)
 	st.FrameLocalSaved = r.sets(nR)
-	st.Summaries = make([]core.RoutineSummary, nR)
-	for i := 0; i < nR && r.err == nil; i++ {
-		nE := r.count(32) // 4 sets of 8 bytes per entrance
-		nX := r.count(9)  // one set + ≥1 byte block per exit
-		sum := &st.Summaries[i]
-		sum.SavedRestored = st.SavedRestored[i]
-		sum.CallUsed = make([]regset.Set, nE)
-		sum.CallDefined = make([]regset.Set, nE)
-		sum.CallKilled = make([]regset.Set, nE)
-		sum.LiveAtEntry = make([]regset.Set, nE)
-		for e := 0; e < nE; e++ {
-			sum.CallUsed[e] = regset.Set(r.u64())
-			sum.CallDefined[e] = regset.Set(r.u64())
-			sum.CallKilled[e] = regset.Set(r.u64())
-			sum.LiveAtEntry[e] = regset.Set(r.u64())
-		}
-		sum.LiveAtExit = make([]regset.Set, nX)
-		sum.ExitBlocks = make([]int, nX)
-		for x := 0; x < nX; x++ {
-			sum.LiveAtExit[x] = regset.Set(r.u64())
-			sum.ExitBlocks[x] = r.int()
-		}
-	}
 
 	nC := r.count(3) // members count + two waves, ≥1 byte each
 	st.Components = make([][]int32, nC)

@@ -22,13 +22,15 @@ func fixChecksum(img []byte) {
 	binary.LittleEndian.PutUint32(img[len(img)-4:], h.Sum32())
 }
 
-// FuzzSnapshot holds the codec to its three safety claims on arbitrary
+// FuzzSnapshot holds the codec to its safety claims on arbitrary
 // input: Decode never panics; anything that decodes re-encodes
 // canonically (encode → decode → re-encode is byte-identical from the
-// first re-encode on); and Restore of anything that decodes never
-// panics, even though the bytes came from nowhere trustworthy.
+// first re-encode on); Restore of anything that decodes never panics,
+// even though the bytes came from nowhere trustworthy; and an analysis
+// Restore accepts serves as a warm start, so re-analyzing a body edit
+// from it never panics either.
 func FuzzSnapshot(f *testing.F) {
-	var progs []*prog.Program
+	var progs, mutants []*prog.Program
 	for seed := uint64(1); seed <= 3; seed++ {
 		p := progen.Generate(progen.TestProfile(8+int(seed)*4), progen.DefaultOptions(seed))
 		a, err := core.Analyze(p)
@@ -46,9 +48,11 @@ func FuzzSnapshot(f *testing.F) {
 			f.Add(corrupt)
 		}
 		progs = append(progs, p)
+		m, _ := progen.MutateKind(p, seed, progen.MutBodyEdit)
+		mutants = append(mutants, m)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("PSS1"))
+	f.Add(Magic[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
@@ -64,9 +68,12 @@ func FuzzSnapshot(f *testing.F) {
 			t.Fatal("encoding is not canonical: encode(decode(encode(s))) differs")
 		}
 		// Restoring against an arbitrary program must error or succeed,
-		// never panic.
-		for _, cp := range progs {
-			s.Restore(cp)
+		// never panic, and so must re-analyzing an edit from what it
+		// accepts.
+		for i, cp := range progs {
+			if a, err := s.Restore(cp); err == nil {
+				core.Reanalyze(a, mutants[i])
+			}
 		}
 	})
 }

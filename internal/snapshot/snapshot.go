@@ -1,8 +1,9 @@
 // Package snapshot gives a converged analysis a durable, versioned
 // binary form: everything core.Analyze computed — the PSG slabs with
-// their converged sets, the §3.4 frame facts, the routine summaries,
-// the callgraph condensation and wave schedules — keyed by the option
-// set and the per-routine body hashes it is valid for.
+// their converged sets, the §3.4 frame facts, the callgraph
+// condensation and wave schedules — keyed by the option set and the
+// per-routine body hashes it is valid for. The routine summaries are
+// not stored: restoring reads them off the node slab.
 //
 // The format is pointer-free and columnar, mirroring core.SavedState:
 // encoding is a sequence of fixed-width array writes and decoding is
@@ -17,7 +18,7 @@
 // Layout (all integers little-endian; uvarint/varint as in
 // encoding/binary):
 //
-//	magic     "PSS1"            4 bytes
+//	magic     "PSS2"            4 bytes
 //	programID uvarint len + bytes (caller-supplied identity, may be empty)
 //	optionKey uvarint len + bytes (core Config.Key)
 //	routines  uvarint count, then per-routine columns:
@@ -26,9 +27,6 @@
 //	  frameClean     1 byte each
 //	  frameIndirect  1 byte each
 //	  frameSaved     8 bytes each
-//	summaries  per routine: uvarint entrances, uvarint exits,
-//	  then 4×8 bytes per entrance (used/defined/killed/liveAtEntry),
-//	  then 8 bytes + uvarint block per exit
 //	condensation uvarint components, per component:
 //	  uvarint members + uvarint routine indices,
 //	  uvarint calleeWave, uvarint callerWave

@@ -37,12 +37,8 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(dec.Encode(), enc) {
 			t.Fatalf("seed %d: re-encode differs", seed)
 		}
-		if !reflect.DeepEqual(dec.State.Summaries, snap.State.Summaries) {
-			t.Fatalf("seed %d: decoded summaries differ", seed)
-		}
-		if !reflect.DeepEqual(dec.State.NodeMayUse, snap.State.NodeMayUse) ||
-			!reflect.DeepEqual(dec.State.EdgeMustDef, snap.State.EdgeMustDef) {
-			t.Fatalf("seed %d: decoded slab columns differ", seed)
+		if !reflect.DeepEqual(dec.State, snap.State) {
+			t.Fatalf("seed %d: decoded state differs from the captured one", seed)
 		}
 	}
 }
