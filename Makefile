@@ -6,15 +6,17 @@ GO ?= go
 
 # The benchmark set recorded in BENCH_phases.json: the end-to-end
 # parallel-pipeline benchmarks and the snapshot restore at the repo
-# root, the per-stage allocation benchmarks in internal/core, and the
+# root, the per-stage allocation benchmarks in internal/core, the
 # analysis-service endpoint benchmarks (BenchmarkServe*, routed into the
-# document's "serve" section with queries/sec and latency quantiles).
-BENCH_SET = BenchmarkAnalyzeParallel$$|BenchmarkPhasesParallel$$|BenchmarkPSGBuild$$|BenchmarkPhases$$|BenchmarkTable2AnalyzeGcc$$|BenchmarkTable2AnalyzeAcad$$|BenchmarkRestoreAcad$$|BenchmarkServe|BenchmarkReanalyze|BenchmarkOptimize
+# document's "serve" section with queries/sec and latency quantiles),
+# the daemon's write path (BenchmarkPatchRoute), and the SXE image
+# encoder in full and spliced (BenchmarkEncode, BenchmarkSplice).
+BENCH_SET = BenchmarkAnalyzeParallel$$|BenchmarkPhasesParallel$$|BenchmarkPSGBuild$$|BenchmarkPhases$$|BenchmarkTable2AnalyzeGcc$$|BenchmarkTable2AnalyzeAcad$$|BenchmarkRestoreAcad$$|BenchmarkServe|BenchmarkReanalyze|BenchmarkOptimize|BenchmarkPatchRoute$$|BenchmarkEncode$$|BenchmarkSplice$$
 # The per-routine labeling benchmarks are microsecond-scale, so three
 # iterations are dominated by first-run slab allocation; they get a
 # steady-state iteration count of their own.
 BENCH_LABEL_SET = BenchmarkLabeling|BenchmarkDefUseBuild$$
-BENCH_PKGS = . ./internal/core/ ./internal/serve/
+BENCH_PKGS = . ./internal/core/ ./internal/serve/ ./internal/sxe/
 
 # Baseline git ref for `make bench-compare`.
 BASE ?= HEAD~1
@@ -115,7 +117,9 @@ obs-guard:
 # generated programs. `make soak` is
 # the acceptance bar (≥10k programs, zero violations); soak-ci is the
 # bounded variant CI runs on every push, with a short fuzz pass over
-# each fuzz target riding along.
+# each fuzz target riding along. Each fuzz leg bounds the minimization
+# of a new interesting input to 5s (Go's default is 60s), so that one
+# input cannot spend most of a 30s leg being minimized.
 soak:
 	CHECK_SOAK_N=10000 $(GO) test ./internal/check/ -run TestGeneratedProgramsClean -count=1 -timeout 60m -v
 
@@ -124,11 +128,13 @@ soak-ci:
 	CHECK_INCR_N=2000 $(GO) test ./internal/check/ -run TestIncrementalClean -count=1 -timeout 30m
 	CHECK_OPT_SCALE=0.1 $(GO) test ./internal/check/ -run TestOptimizerClean -count=1 -timeout 30m
 	$(GO) test ./internal/check/ -run TestLabelingExamples -count=1 -timeout 10m
-	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzAnalyze -fuzztime 30s -count=1
-	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzSavedRestored -fuzztime 30s -count=1
-	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzLabeling -fuzztime 30s -count=1
-	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshot -fuzztime 30s -count=1
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzIndentCompact -fuzztime 30s -count=1
+	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzAnalyze -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzSavedRestored -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/check/ -run '^$$' -fuzz FuzzLabeling -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshot -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzIndentCompact -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/api/ -run '^$$' -fuzz FuzzAppendDoc -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/sxe/ -run '^$$' -fuzz FuzzSplice -fuzztime 30s -fuzzminimizetime 5s -count=1
 
 # Incremental re-analysis soak: the incremental oracle alone, over
 # CHECK_INCR_N (program, mutation) pairs — every Reanalyze result is

@@ -97,7 +97,7 @@ func TestWireGolden(t *testing.T) {
 
 	// The full analysis document, with the wall-clock fields zeroed
 	// (they are the only nondeterminism; the "_ns" suffix marks them).
-	doc := api.BuildAnalysisDoc(a, nil)
+	doc := api.BuildVersionedDoc(api.SchemaVersion, a, nil)
 	doc.Stats.CFGBuildNs = 0
 	doc.Stats.InitNs = 0
 	doc.Stats.PSGBuildNs = 0

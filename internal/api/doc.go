@@ -11,7 +11,9 @@ import (
 // the solver telemetry snapshot. It is what `spike analyze
 // -format=json` prints and what the daemon's /v1/analyze endpoint
 // serves — byte-identical for the same program and options, modulo the
-// "_ns" timing fields and counters flagged "unstable".
+// "_ns" timing fields and counters flagged "unstable". Both write it
+// with AppendDoc, which never builds this struct; clients decode into
+// it, and RenderDoc builds it.
 type AnalysisDoc struct {
 	SchemaVersion string           `json:"schema_version"`
 	Routines      []RoutineSummary `json:"routines"`
@@ -172,13 +174,6 @@ func CallGraphOf(a *core.Analysis) ([]ComponentInfo, int) {
 		}
 	}
 	return comps, cg.NumWaves()
-}
-
-// BuildAnalysisDoc assembles the full analysis document. m is the
-// metrics registry the analysis ran with; a nil m yields an empty
-// metrics snapshot.
-func BuildAnalysisDoc(a *core.Analysis, m *obs.Metrics) AnalysisDoc {
-	return BuildVersionedDoc(SchemaVersion, a, m)
 }
 
 // ProgramInfoOf inventories a loaded program for the load response.

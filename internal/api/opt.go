@@ -123,6 +123,13 @@ func (r *OptimizeRequest) OptOptions() opt.Options {
 // analysis document — byte-identical to what /v1/analyze on the new ID
 // would return, modulo "_ns" timings — so follow-up queries are warm.
 type OptimizeResponse struct {
+	OptimizeHeader
+	Analysis AnalysisDoc `json:"analysis"`
+}
+
+// OptimizeHeader holds every field of an OptimizeResponse but the
+// analysis document, which follows them on the wire.
+type OptimizeHeader struct {
 	SchemaVersion string `json:"schema_version"`
 
 	// Base is the program the optimizer started from; Program describes
@@ -130,6 +137,5 @@ type OptimizeResponse struct {
 	Base    string      `json:"base"`
 	Program ProgramInfo `json:"program"`
 
-	Report   OptReport   `json:"report"`
-	Analysis AnalysisDoc `json:"analysis"`
+	Report OptReport `json:"report"`
 }

@@ -85,6 +85,13 @@ type PatchRequest struct {
 // byte-identical to what a from-scratch analysis of the patched
 // program would converge to, modulo the "_ns" timing fields.
 type PatchResponse struct {
+	PatchHeader
+	Analysis AnalysisDoc `json:"analysis"`
+}
+
+// PatchHeader holds every field of a PatchResponse but the analysis
+// document, which follows them on the wire.
+type PatchHeader struct {
 	SchemaVersion string `json:"schema_version"`
 
 	// Base is the program the patch was applied to; Program describes
@@ -93,7 +100,6 @@ type PatchResponse struct {
 	Program ProgramInfo `json:"program"`
 
 	Incremental IncrementalInfo `json:"incremental"`
-	Analysis    AnalysisDoc     `json:"analysis"`
 }
 
 // SnapshotRequest saves or loads a converged analysis in the binary

@@ -111,11 +111,13 @@ func TestWireGoldenV2(t *testing.T) {
 			Routines: []api.RoutinePatch{{Routine: "double", Asm: patchedDouble}},
 		}},
 		{"patch_response", api.PatchResponse{
-			SchemaVersion: api.SchemaVersionV2,
-			Base:          baseID,
-			Program:       info,
-			Incremental:   api.IncrementalInfoOf(inc.Incremental),
-			Analysis:      doc,
+			PatchHeader: api.PatchHeader{
+				SchemaVersion: api.SchemaVersionV2,
+				Base:          baseID,
+				Program:       info,
+				Incremental:   api.IncrementalInfoOf(inc.Incremental),
+			},
+			Analysis: doc,
 		}},
 		// The snapshot image is pinned by its own codec (internal/
 		// snapshot round-trip and fuzz tests); the wire golden pins the

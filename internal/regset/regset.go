@@ -370,27 +370,30 @@ func (s Set) Pick() Reg {
 	return Reg(bits.TrailingZeros64(uint64(s)))
 }
 
+// maxSetText bounds the length of a set's text: every register's name,
+// a ", " between two names, and the braces.
+const maxSetText = 284
+
 // String renders the set in the paper's notation, e.g. "{v0, t1, f4}".
 func (s Set) String() string {
 	if s == 0 {
 		return "{}"
 	}
-	// Each name brings two bytes: a ", " separator, or a brace.
-	n := 0
+	var buf [maxSetText]byte
+	return string(s.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the set in the paper's notation, as String renders
+// it, to dst and returns the extended buffer.
+func (s Set) AppendTo(dst []byte) []byte {
+	dst = append(dst, '{')
 	for v := uint64(s); v != 0; v &= v - 1 {
-		n += len(regNames[bits.TrailingZeros64(v)]) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteByte('{')
-	for v := uint64(s); v != 0; v &= v - 1 {
-		if b.Len() > 1 {
-			b.WriteString(", ")
+		if v != uint64(s) {
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(regNames[bits.TrailingZeros64(v)])
+		dst = append(dst, regNames[bits.TrailingZeros64(v)]...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
 // ParseSet parses the notation produced by Set.String. The empty set may be

@@ -191,6 +191,19 @@ func TestSetStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetAppendTo holds String and AppendTo to one text, and sizes
+// String's stack buffer: the full set's text must fit it exactly.
+func TestSetAppendTo(t *testing.T) {
+	for _, s := range []Set{Empty, Of(R0), Of(V0, T10, SP, FZero), All} {
+		if got := string(s.AppendTo([]byte("x="))); got != "x="+s.String() {
+			t.Errorf("AppendTo(%v) = %q, want %q", s, got, "x="+s.String())
+		}
+	}
+	if n := len(All.String()); n != maxSetText {
+		t.Errorf("len(All.String()) = %d, maxSetText = %d", n, maxSetText)
+	}
+}
+
 func TestParseSetErrors(t *testing.T) {
 	for _, bad := range []string{"v0", "{v0", "v0}", "{v0; t1}", "{nope}"} {
 		if _, err := ParseSet(bad); err == nil {

@@ -187,8 +187,8 @@ func routineAsm(p *prog.Program, ri int) string {
 // Server.Handler(), without a network: every iteration applies the same
 // single-routine body edit to a loaded vc@0.1 program (about 50k
 // instructions), so each one re-analyzes from the cached base analysis,
-// encodes and hashes the patched program, renders its document and
-// writes the indented response.
+// splices and hashes the patched program's image, and writes the
+// response with its document.
 func BenchmarkPatchRoute(b *testing.B) {
 	prof, _ := progen.ProfileByName("vc")
 	p := progen.Generate(prof.Scale(0.1), progen.DefaultOptions(1))

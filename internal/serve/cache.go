@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/prog"
+	"repro/internal/sxe"
 )
 
 // lruCache is a mutex-guarded LRU map: the daemon's program registry
@@ -129,11 +130,14 @@ func (c *lruCache) keys() []string {
 	return out
 }
 
-// loadedProgram is one program in the daemon's registry.
+// loadedProgram is one program in the daemon's registry. img is its
+// canonical encoding, which the ID hashes and a patch of the program
+// splices.
 type loadedProgram struct {
 	id   string
 	prog *prog.Program
 	info api.ProgramInfo
+	img  *sxe.Image
 }
 
 // analysisEntry is one (program × option set) in the analysis cache,
@@ -146,8 +150,8 @@ type loadedProgram struct {
 // instead of leaking workers — the request lifecycle owns the analysis
 // lifecycle.
 //
-// Point queries read the analysis itself; the full document is a
-// rendering of it, built once per schema on first use (doc).
+// Point queries read the analysis itself, and the full document is
+// written from it for each request that asks for one (docResponse).
 type analysisEntry struct {
 	done chan struct{}
 
@@ -159,18 +163,10 @@ type analysisEntry struct {
 	metrics obs.Snapshot
 	err     error
 
-	v1, v2 renderedDoc
-
 	mu       sync.Mutex
 	waiters  int
 	finished bool
 	cancel   context.CancelFunc
-}
-
-// renderedDoc is one schema's frozen analysis document.
-type renderedDoc struct {
-	once sync.Once
-	doc  api.AnalysisDoc
 }
 
 func newAnalysisEntry() *analysisEntry {
@@ -215,24 +211,6 @@ func (e *analysisEntry) compute(ctx context.Context, p *prog.Program, o api.Opti
 	e.finished = true
 	e.mu.Unlock()
 	close(e.done)
-}
-
-// doc returns the entry's analysis document stamped with schema,
-// rendering it on first use; later calls under the same schema return
-// the same document. Only a finished, successful entry has one.
-//
-// An entry installed by /v1/patch or /v1/optimize holds the analysis
-// that request derived, so its documents' iteration, timing and metrics
-// fields describe that run; the summaries and PSG counts equal a
-// from-scratch analysis either way. A spike.v1 rendering never carries
-// the incremental block.
-func (e *analysisEntry) doc(schema string) api.AnalysisDoc {
-	r := &e.v1
-	if schema != api.SchemaVersion {
-		r = &e.v2
-	}
-	r.once.Do(func() { r.doc = api.RenderDoc(schema, e.a, e.metrics) })
-	return r.doc
 }
 
 // ready reports whether the entry's analysis has already finished —

@@ -139,10 +139,10 @@ func (s *Server) handleAnalyze(r *http.Request) (int, any) {
 	if err != nil {
 		return errResp(status, "%v", err)
 	}
-	// The entry renders its spike.v1 document once, from the analysis
-	// and the metrics frozen when it converged, so every request for
-	// this (program, options) serves identical bytes.
-	return http.StatusOK, ent.doc(api.SchemaVersion)
+	// The document is written from the analysis and the metrics frozen
+	// when it converged, so every request for this (program, options)
+	// serves identical bytes.
+	return http.StatusOK, docResponse{schema: api.SchemaVersion, ent: ent}
 }
 
 func (s *Server) handleBatch(r *http.Request) (int, any) {

@@ -74,11 +74,13 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 		patched.Routines[ri] = nr
 	}
 	patched.RebuildIndex()
-	canonical, err := sxe.Encode(patched)
+	// The patched image copies every record the edit left alone from
+	// the base's image.
+	img, err := lp.img.Splice(patched)
 	if err != nil {
 		return errRespV(schema, http.StatusBadRequest, "patched program: %v", err)
 	}
-	info := api.ProgramInfoOf(patched, canonical)
+	info := api.ProgramInfoOf(patched, img.Bytes)
 
 	m := obs.NewMetrics()
 	inc, err := core.ReanalyzeContext(r.Context(), ent.a, patched,
@@ -92,18 +94,22 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 	// incremental analysis a ready cache entry: follow-up queries on the
 	// new ID, v1 point queries included, hit the cache instead of
 	// re-solving.
-	newLP := &loadedProgram{id: info.ID, prog: patched, info: info}
+	newLP := &loadedProgram{id: info.ID, prog: patched, info: info, img: img}
 	s.programs.add(newLP.id, newLP)
 	s.progLoads.Add(1)
 	newEnt := finishedEntry(inc, m.Snapshot())
 	s.analyses.add(analysisKey(newLP.id, req.Options), newEnt)
 
-	return http.StatusOK, api.PatchResponse{
-		SchemaVersion: schema,
-		Base:          lp.id,
-		Program:       info,
-		Incremental:   api.IncrementalInfoOf(inc.Incremental),
-		Analysis:      newEnt.doc(schema),
+	// An api.PatchResponse on the wire.
+	return http.StatusOK, docResponse{
+		head: api.PatchHeader{
+			SchemaVersion: schema,
+			Base:          lp.id,
+			Program:       info,
+			Incremental:   api.IncrementalInfoOf(inc.Incremental),
+		},
+		schema: schema,
+		ent:    newEnt,
 	}
 }
 
@@ -111,11 +117,12 @@ func (s *Server) handlePatch(r *http.Request) (int, any) {
 // request may cost the daemon.
 const optVerifyMaxSteps = 100_000_000
 
-// optimizeEntry caches one finished optimize response in the analysis
-// LRU (whose values are untyped); the optimizer is deterministic, so
-// replaying the response for an identical request is exact.
+// optimizeEntry caches one finished optimize response, encoded, in the
+// analysis LRU (whose values are untyped); the optimizer is
+// deterministic, so replaying the response for an identical request is
+// exact.
 type optimizeEntry struct {
-	resp api.OptimizeResponse
+	body []byte
 }
 
 // optimizeKey extends the analysis cache key with the optimizer knobs:
@@ -139,7 +146,7 @@ func (s *Server) handleOptimize(r *http.Request) (int, any) {
 	if v, ok := s.analyses.get(key); ok {
 		if ent, ok := v.(*optimizeEntry); ok {
 			s.anaHits.Add(1)
-			return http.StatusOK, ent.resp
+			return http.StatusOK, rawResponse{"application/json", ent.body}
 		}
 	}
 	s.anaMisses.Add(1)
@@ -177,31 +184,38 @@ func (s *Server) handleOptimize(r *http.Request) (int, any) {
 		}
 	}
 
-	canonical, err := sxe.Encode(out)
+	img, err := sxe.EncodeImage(out)
 	if err != nil {
 		return errRespV(schema, http.StatusInternalServerError, "optimized program: %v", err)
 	}
-	info := api.ProgramInfoOf(out, canonical)
+	info := api.ProgramInfoOf(out, img.Bytes)
 
 	// Mirror handlePatch: the optimized program becomes a first-class
 	// loaded program and its converged analysis a ready cache entry, so
 	// follow-up queries on the new ID, v1 point queries included, are
 	// warm.
-	newLP := &loadedProgram{id: info.ID, prog: out, info: info}
+	newLP := &loadedProgram{id: info.ID, prog: out, info: info, img: img}
 	s.programs.add(newLP.id, newLP)
 	s.progLoads.Add(1)
 	newEnt := finishedEntry(fa, m.Snapshot())
 	s.analyses.add(analysisKey(newLP.id, req.Options), newEnt)
 
-	resp := api.OptimizeResponse{
-		SchemaVersion: schema,
-		Base:          lp.id,
-		Program:       info,
-		Report:        wrep,
-		Analysis:      newEnt.doc(schema),
+	// An api.OptimizeResponse on the wire.
+	body, err := encodeJSON(docResponse{
+		head: api.OptimizeHeader{
+			SchemaVersion: schema,
+			Base:          lp.id,
+			Program:       info,
+			Report:        wrep,
+		},
+		schema: schema,
+		ent:    newEnt,
+	})
+	if err != nil {
+		return http.StatusInternalServerError, rawResponse{"application/json", s.encodeFailed("optimize", err)}
 	}
-	s.analyses.add(key, &optimizeEntry{resp: resp})
-	return http.StatusOK, resp
+	s.analyses.add(key, &optimizeEntry{body: body})
+	return http.StatusOK, rawResponse{"application/json", body}
 }
 
 func (s *Server) handleSnapshot(r *http.Request) (int, any) {

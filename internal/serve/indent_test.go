@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -15,10 +16,13 @@ import (
 	"repro/internal/progen"
 )
 
-// FuzzIndentCompact holds appendIndent to json.Indent: for any valid
-// document, indenting its compact form must give exactly the bytes
+// FuzzIndentCompact holds api.AppendIndent, the indenter behind every
+// JSON body the daemon writes, to json.Indent: for any valid document,
+// indenting its compact form must give exactly the bytes
 // json.Indent(…, "", "  ") gives, which is what json.MarshalIndent
-// emits for the value.
+// emits for the value, and at a base depth d the bytes json.Indent
+// gives with a prefix of d levels. The seeds are the daemon's and the
+// wire format's goldens.
 func FuzzIndentCompact(f *testing.F) {
 	goldens, err := filepath.Glob("../api/testdata/wire*.json")
 	if err != nil {
@@ -53,15 +57,18 @@ func FuzzIndentCompact(f *testing.F) {
 		if !json.Valid(src) {
 			return
 		}
-		var compact, want bytes.Buffer
+		var compact bytes.Buffer
 		if err := json.Compact(&compact, src); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
-			t.Fatal(err)
-		}
-		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("appendIndent(%q):\n got %q\nwant %q", compact.Bytes(), got, want.Bytes())
+		for _, depth := range []int{0, 1 + len(src)%20} {
+			var want bytes.Buffer
+			if err := json.Indent(&want, compact.Bytes(), strings.Repeat("  ", depth), "  "); err != nil {
+				t.Fatal(err)
+			}
+			if got := api.AppendIndent(nil, compact.Bytes(), depth); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("AppendIndent(%q, %d):\n got %q\nwant %q", compact.Bytes(), depth, got, want.Bytes())
+			}
 		}
 	})
 }

@@ -275,43 +275,94 @@ func (s *Server) route(pattern, name string, h func(r *http.Request) (int, any))
 	})
 }
 
-// rawResponse lets a handler bypass the JSON envelope: the route
+// rawResponse lets a handler bypass the JSON encoding: the route
 // wrapper writes the bytes with the given content type verbatim, so
-// non-JSON surfaces (Prometheus text, Chrome trace dumps) still get
-// per-route counters and latency.
+// non-JSON surfaces (Prometheus text, Chrome trace dumps) and cached
+// encoded documents still get per-route counters and latency.
 type rawResponse struct {
 	contentType string
 	data        []byte
 }
 
+// docResponse is a response carrying an analysis document, which
+// api.AppendDoc writes straight from the entry's analysis rather than
+// have it built and marshaled: the bare document stamped with schema
+// when head is nil, otherwise head's fields followed by the document as
+// the envelope's last field, "analysis".
+//
+// An entry installed by /v1/patch or /v1/optimize holds the analysis
+// that request derived, so its documents' iteration, timing and metrics
+// fields describe that run; the summaries and PSG counts equal a
+// from-scratch analysis either way. A spike.v1 document never carries
+// the incremental block.
+type docResponse struct {
+	head   any
+	schema string
+	ent    *analysisEntry
+}
+
 func (s *Server) writeJSON(w http.ResponseWriter, route string, status int, v any) {
+	contentType, data := "application/json", []byte(nil)
 	if raw, ok := v.(rawResponse); ok {
-		w.Header().Set("Content-Type", raw.contentType)
-		w.WriteHeader(status)
-		w.Write(raw.data)
-		return
-	}
-	data, err := json.Marshal(v)
-	if err == nil {
-		// Byte-identical to json.MarshalIndent(v, "", "  ") without its
-		// scanner-driven indent pass; the spare byte takes the newline.
-		data = appendIndent(make([]byte, 0, 2*len(data)+1), data)
+		contentType, data = raw.contentType, raw.data
+	} else if enc, err := encodeJSON(v); err == nil {
+		data = enc
 	} else {
-		// An unencodable document is a server bug: count it, log the
-		// first occurrence per route (every occurrence after the first
-		// is the same bug), and degrade to a well-formed error reply.
-		s.encodeErrs.Add(1)
-		once, _ := s.encodeOnce.LoadOrStore(route, new(sync.Once))
-		once.(*sync.Once).Do(func() {
-			log.Printf("serve: %s: response encode failed: %v", route, err)
-		})
-		status = http.StatusInternalServerError
-		data = []byte(fmt.Sprintf(`{"schema_version":%q,"error":"encode: %s"}`,
-			api.SchemaVersion, err))
+		status, data = http.StatusInternalServerError, s.encodeFailed(route, err)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(data)
+}
+
+// encodeJSON encodes a response body as json.MarshalIndent(v, "", "  ")
+// does, plus a newline, without its scanner-driven indent pass; a
+// docResponse is encoded as the api value it stands for.
+func encodeJSON(v any) ([]byte, error) {
+	d, isDoc := v.(docResponse)
+	if !isDoc {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		// The spare byte takes the newline.
+		return append(api.AppendIndent(make([]byte, 0, 2*len(data)+1), data, 0), '\n'), nil
+	}
+	var dst []byte
+	depth := 0
+	if d.head != nil {
+		data, err := json.Marshal(d.head)
+		if err != nil {
+			return nil, err
+		}
+		// Indent the envelope up to its closing brace, then add the
+		// document as its last field, one level deep.
+		dst = api.AppendIndent(make([]byte, 0, 2*len(data)), data[:len(data)-1], 0)
+		dst = append(dst, ",\n  \"analysis\": "...)
+		depth = 1
+	}
+	dst, err := api.AppendDoc(dst, d.schema, d.ent.a, d.ent.metrics, nil, depth)
+	if err != nil {
+		return nil, err
+	}
+	if d.head != nil {
+		dst = append(dst, "\n}"...)
+	}
+	return append(dst, '\n'), nil
+}
+
+// encodeFailed handles a response that could not be encoded, a server
+// bug: it counts it, logs the first occurrence per route (every
+// occurrence after the first is the same bug), and returns the
+// well-formed 500 reply that replaces it.
+func (s *Server) encodeFailed(route string, err error) []byte {
+	s.encodeErrs.Add(1)
+	once, _ := s.encodeOnce.LoadOrStore(route, new(sync.Once))
+	once.(*sync.Once).Do(func() {
+		log.Printf("serve: %s: response encode failed: %v", route, err)
+	})
+	return []byte(fmt.Sprintf("{\"schema_version\":%q,\"error\":\"encode: %s\"}\n",
+		api.SchemaVersion, err))
 }
 
 // errResp builds an error reply stamped spike.v1 (the v1 endpoints);
@@ -383,12 +434,12 @@ func (s *Server) load(req *api.LoadRequest) (*loadedProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonical, err := sxe.Encode(p)
+	img, err := sxe.EncodeImage(p)
 	if err != nil {
 		return nil, err
 	}
-	info := api.ProgramInfoOf(p, canonical)
-	lp := &loadedProgram{id: info.ID, prog: p, info: info}
+	info := api.ProgramInfoOf(p, img.Bytes)
+	lp := &loadedProgram{id: info.ID, prog: p, info: info, img: img}
 	s.programs.add(lp.id, lp)
 	s.progLoads.Add(1)
 	return lp, nil

@@ -315,9 +315,9 @@ func TestLoadIdentity(t *testing.T) {
 }
 
 // TestConcurrentSoak hammers the query surface from 32 goroutines and
-// requires byte-identical responses: the cached analysis, the frozen
-// analysis document and the per-index batch slots make every response
-// a pure function of the request. Run under -race this also shakes out
+// requires byte-identical responses: the cached analysis, its frozen
+// metrics snapshot and the per-index batch slots make every response a
+// pure function of the request. Run under -race this also shakes out
 // synchronization bugs in the cache and singleflight paths.
 func TestConcurrentSoak(t *testing.T) {
 	_, c := newTestClient(t, Config{})

@@ -64,10 +64,155 @@ const flagAddressTaken = 1
 // stale packed form behind. The returned image's capacity equals its
 // length: callers hold images for as long as the program lives.
 func Encode(p *prog.Program) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("sxe: refusing to encode invalid program: %w", err)
+	img, err := EncodeImage(p)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 0, estimateSize(p))
+	return img.Bytes, nil
+}
+
+// Image is a program's canonical encoding together with the layout
+// Splice needs to encode an edit of that program without re-encoding
+// what the edit left alone.
+type Image struct {
+	// Bytes is the encoding, exactly as Encode returns it.
+	Bytes []byte
+
+	routines []*prog.Routine // the encoded program's routines, by pointer
+	recs     []int           // recs[i]: where routine i's record starts; recs[n]: the checksum
+	offs     []int           // offs[i]: the data-segment offset of routine i's first table
+}
+
+// EncodeImage is Encode, keeping the layout of the image it returns.
+func EncodeImage(p *prog.Program) (*Image, error) {
+	if err := p.Validate(); err != nil {
+		return nil, invalid(err)
+	}
+	img := newImage(p)
+	buf := appendHeader(make([]byte, 0, estimateSize(p)), p)
+	for ri, r := range p.Routines {
+		img.recs[ri] = len(buf)
+		buf = appendRecord(buf, r, img.offs[ri])
+	}
+	img.recs[len(p.Routines)] = len(buf)
+	// Copy out once: the image keeps no spare capacity from the estimate.
+	img.Bytes = seal(append(make([]byte, 0, len(buf)+4), buf...))
+	return img, nil
+}
+
+// Splice encodes p, an edit of the image's program, and returns the
+// same bytes and layout EncodeImage(p) would. An edit replaces routines
+// by pointer and leaves the others shared ("clone on edit", as
+// prog.Program.ShallowClone gives): the record of a shared routine is
+// copied from the image unless its tables moved in the data segment,
+// and every other record, the header and the checksum are encoded
+// afresh. p is validated as far as an edit can break it, and an invalid
+// p is refused with the error Encode gives. A p whose routine count
+// differs from the image's is encoded from scratch.
+func (img *Image) Splice(p *prog.Program) (*Image, error) {
+	n := len(img.routines)
+	if len(p.Routines) != n {
+		return EncodeImage(p)
+	}
+	if err := img.validateEdit(p); err != nil {
+		return nil, err
+	}
+	out := newImage(p)
+	// First pass: encode the header and each record that cannot be
+	// copied into fresh, back to back, leaving each such record's end
+	// in out.recs, and size the image.
+	fresh := appendHeader(nil, p)
+	header := len(fresh)
+	size := header + 4
+	for ri, r := range p.Routines {
+		if img.reusable(ri, r, out.offs[ri]) {
+			size += img.recs[ri+1] - img.recs[ri]
+			continue
+		}
+		start := len(fresh)
+		fresh = appendRecord(fresh, r, out.offs[ri])
+		out.recs[ri] = len(fresh)
+		size += len(fresh) - start
+	}
+	// Second pass: lay the records out in routine order.
+	buf := append(make([]byte, 0, size), fresh[:header]...)
+	next := header // the first fresh record not yet laid out
+	for ri, r := range p.Routines {
+		start := len(buf)
+		if img.reusable(ri, r, out.offs[ri]) {
+			buf = append(buf, img.Bytes[img.recs[ri]:img.recs[ri+1]]...)
+		} else {
+			buf = append(buf, fresh[next:out.recs[ri]]...)
+			next = out.recs[ri]
+		}
+		out.recs[ri] = start
+	}
+	out.recs[n] = len(buf)
+	out.Bytes = seal(buf)
+	return out, nil
+}
+
+// validateEdit checks what an edit of the image's valid program can
+// break: the entry index and each replaced routine, or the whole
+// program when a replaced routine's entrance count changed, since its
+// callers' entry selectors are bounded by that count. It reports the
+// violation p.Validate would report first.
+func (img *Image) validateEdit(p *prog.Program) error {
+	whole := p.Entry < 0 || p.Entry >= len(p.Routines)
+	for ri, r := range p.Routines {
+		if r != img.routines[ri] && len(r.Entries) != len(img.routines[ri].Entries) {
+			whole = true
+		}
+	}
+	if whole {
+		if err := p.Validate(); err != nil {
+			return invalid(err)
+		}
+		return nil
+	}
+	for ri, r := range p.Routines {
+		if r != img.routines[ri] {
+			if err := p.ValidateRoutine(ri); err != nil {
+				return invalid(err)
+			}
+		}
+	}
+	return nil
+}
+
+// reusable reports whether routine ri's record in the image is the
+// record of r at table offset off: r is the routine the image encoded,
+// and its table offsets, if it has tables, did not move.
+func (img *Image) reusable(ri int, r *prog.Routine, off int) bool {
+	return r == img.routines[ri] && (off == img.offs[ri] || len(r.Tables) == 0)
+}
+
+// newImage returns p's image layout with every routine's table offset
+// filled in and the record bounds left to the encoder.
+func newImage(p *prog.Program) *Image {
+	n := len(p.Routines)
+	img := &Image{
+		routines: append([]*prog.Routine(nil), p.Routines...),
+		recs:     make([]int, n+1),
+		offs:     make([]int, n),
+	}
+	off := 0
+	for ri, r := range p.Routines {
+		img.offs[ri] = off
+		for _, t := range r.Tables {
+			off += 1 + len(t)
+		}
+	}
+	return img
+}
+
+func invalid(err error) error {
+	return fmt.Errorf("sxe: refusing to encode invalid program: %w", err)
+}
+
+// appendHeader appends everything before the first routine record:
+// the magic, the entry index, the data segment and the routine count.
+func appendHeader(buf []byte, p *prog.Program) []byte {
 	buf = append(buf, Magic[:]...)
 	buf = binary.AppendUvarint(buf, uint64(p.Entry))
 	// The data segment packs every table in routine order as its length
@@ -87,43 +232,47 @@ func Encode(p *prog.Program) ([]byte, error) {
 			}
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Routines)))
-	off := 0 // data-segment offset of the next table
-	for _, r := range p.Routines {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
-		buf = append(buf, r.Name...)
-		flags := uint64(0)
-		if r.AddressTaken {
-			flags |= flagAddressTaken
-		}
-		buf = binary.AppendUvarint(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Entries)))
-		for _, e := range r.Entries {
-			buf = binary.AppendUvarint(buf, uint64(e))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Tables)))
-		for _, t := range r.Tables {
-			buf = binary.AppendUvarint(buf, uint64(len(t)))
-			for _, tgt := range t {
-				buf = binary.AppendUvarint(buf, uint64(tgt))
-			}
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Tables)))
-		for _, t := range r.Tables {
-			buf = binary.AppendUvarint(buf, uint64(off))
-			off += 1 + len(t)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Code)))
-		for i := range r.Code {
-			buf = appendInstr(buf, &r.Code[i])
+	return binary.AppendUvarint(buf, uint64(len(p.Routines)))
+}
+
+// appendRecord appends r's routine record; off is the data-segment
+// offset of its first table.
+func appendRecord(buf []byte, r *prog.Routine, off int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
+	buf = append(buf, r.Name...)
+	flags := uint64(0)
+	if r.AddressTaken {
+		flags |= flagAddressTaken
+	}
+	buf = binary.AppendUvarint(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Entries)))
+	for _, e := range r.Entries {
+		buf = binary.AppendUvarint(buf, uint64(e))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(r.Tables)))
+	for _, t := range r.Tables {
+		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		for _, tgt := range t {
+			buf = binary.AppendUvarint(buf, uint64(tgt))
 		}
 	}
+	buf = binary.AppendUvarint(buf, uint64(len(r.Tables)))
+	for _, t := range r.Tables {
+		buf = binary.AppendUvarint(buf, uint64(off))
+		off += 1 + len(t)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(r.Code)))
+	for i := range r.Code {
+		buf = appendInstr(buf, &r.Code[i])
+	}
+	return buf
+}
+
+// seal appends the FNV-1a checksum of everything in buf.
+func seal(buf []byte) []byte {
 	sum := fnv.New32a()
 	sum.Write(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, sum.Sum32())
-	// Copy out once: the image keeps no spare capacity from the estimate.
-	img := append([]byte(nil), buf...)
-	return img[:len(img):len(img)], nil
+	return binary.LittleEndian.AppendUint32(buf, sum.Sum32())
 }
 
 // estimateSize returns a buffer size an image of p seldom outgrows. It
