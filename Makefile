@@ -102,14 +102,15 @@ serve-smoke:
 	$(GO) run ./cmd/spike serve -smoke examples/fig2.s
 
 # Observability overhead guard: vet plus the allocation budgets of
-# Analyze, the PSG build, the phases and Rehydrate, and the tests
+# Analyze, the PSG build, the phases, Rehydrate and a re-analysis of
+# one body edit (copy mode and in place), and the tests
 # proving disabled tracing/metrics cost zero allocations and the
 # telemetry is deterministic. CI runs this as its own step so an obs
 # regression is named in the failure, not buried in the full suite.
 obs-guard:
 	$(GO) vet ./...
 	$(GO) test ./internal/obs/ ./internal/core/ \
-		-run 'TestAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestRehydrateAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestRequestAndOfflineSpansAgree' -v
+		-run 'TestReanalyzeAllocationBudget|TestAnalyzeAllocationBudget|TestPSGBuildAllocationBudget|TestPhasesAllocationBudget|TestRehydrateAllocationBudget|TestDisabledObsAllocParity|TestMetricsDeterminism|TestAnalyzeTracing|TestNilObserverZeroAlloc|TestNilRequestObserverZeroAlloc|TestRequestAndOfflineSpansAgree' -v
 
 # Correctness soak: the internal/check harness — differential runner
 # across the option matrix, PSG invariant checker, Figure 6 labeling

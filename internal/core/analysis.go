@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -226,98 +225,27 @@ func Analyze(p *prog.Program, opts ...Option) (*Analysis, error) {
 // A server answering analysis queries uses this so an abandoned request
 // cancels its in-flight analysis instead of leaking the work; when ctx
 // is never cancelled the result is identical to Analyze in every way.
+//
+// The analysis is the re-analysis engine (reanalyze.go) run against the
+// empty analysis: no routine has a previous counterpart, so every
+// routine is dirty and every component is solved, through the same
+// stages, layout and solvers a re-analysis uses.
 func AnalyzeContext(ctx context.Context, p *prog.Program, opts ...Option) (*Analysis, error) {
-	conf := NewConfig(opts...)
-	conf.ctx = ctx
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: analyze: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	workers := conf.Workers()
-	a := &Analysis{Prog: p, Config: conf}
-	a.Stats.Parallelism = workers
-
-	// Pool baselines: the worklist and def-use pools are process
-	// globals, so this run's hit/miss telemetry is the delta.
-	var wlGets0, wlNews0, duGets0, duNews0 uint64
-	if conf.Metrics != nil {
-		wlGets0, wlNews0 = wlPool.Stats()
-		duGets0, duNews0 = defusePool.Stats()
-	}
-	asp := conf.Tracer.Begin("analyze").
-		Arg("routines", int64(len(p.Routines))).
-		Arg("workers", int64(workers))
-	defer asp.End()
-
-	// cancelled is the between-stage cancellation point: each stage
-	// boundary checks it so an abandoned caller stops paying for the
-	// stages it no longer wants. The wave scheduler adds its own finer-
-	// grained points (per wave and inside the solve loops).
-	cancelled := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: analyze: %w", err)
-		}
-		return nil
-	}
-
-	a.buildGraphs(asp, workers)
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-	a.Stats.PSGBuild = stage(asp, "psg build", func(sp obs.Span) {
-		a.PSG, a.Stats.PSGBuildCPU = buildPSG(p, a.Graphs, conf, sp)
-	})
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-	a.Stats.CallGraphBuild = stage(asp, "callgraph build", func(sp obs.Span) {
-		a.callGraph = callgraph.Build(p,
-			callgraph.WithIndirectPinning(conf.LinkIndirectCalls),
-			callgraph.WithObs(sp, conf.Metrics))
-	})
-	a.Stats.SCCComponents = a.callGraph.NumComponents()
-	sched := newPhaseSched(a.PSG, a.callGraph, conf)
-
-	a.Stats.Phase1 = stage(asp, "phase1", func(sp obs.Span) {
-		a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runPhase1(sp)
-		sp.Arg("waves", int64(a.Stats.Phase1Waves)).Arg("iterations", int64(a.Stats.Phase1Iterations))
-	})
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-	a.Stats.Phase2 = stage(asp, "phase2", func(sp obs.Span) {
-		a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runPhase2(sp)
-		sp.Arg("waves", int64(a.Stats.Phase2Waves)).Arg("iterations", int64(a.Stats.Phase2Iterations))
-	})
-	if err := cancelled(); err != nil {
-		return nil, err
-	}
-	a.schedShape = sched.shape()
-
-	stage(asp, "summaries", func(obs.Span) {
-		a.collectSummaries()
-		a.collectCounts()
-		a.prepareQueries()
-	})
-	a.publishMetrics(wlGets0, wlNews0, duGets0, duNews0)
-	return a, nil
+	return reanalyze(ctx, &Analysis{Prog: &prog.Program{}}, p, false, opts)
 }
 
-// buildGraphs runs the cfg build and init stages over every routine of
-// a.Prog, filling a.Graphs and the two stages' Stats.
-func (a *Analysis) buildGraphs(asp obs.Span, workers int) {
-	n := len(a.Prog.Routines)
-	a.Graphs = make([]*cfg.Graph, n)
+// buildGraphs runs the cfg build and init stages over the routines
+// listed in dirty, writing their CFGs into a.Graphs and the two stages'
+// Stats.
+func (a *Analysis) buildGraphs(asp obs.Span, workers int, dirty []int) {
 	a.Stats.CFGBuild = stage(asp, "cfg build", func(sp obs.Span) {
-		a.Stats.CFGBuildCPU = par.ForEachSpan(sp, "cfg", n, workers, func(ri int) {
-			a.Graphs[ri] = cfg.Build(a.Prog, ri)
+		a.Stats.CFGBuildCPU = par.ForEachSpan(sp, "cfg", len(dirty), workers, func(i int) {
+			a.Graphs[dirty[i]] = cfg.Build(a.Prog, dirty[i])
 		})
 	})
 	a.Stats.Init = stage(asp, "init", func(sp obs.Span) {
-		a.Stats.InitCPU = par.ForEachSpan(sp, "defubd", n, workers, func(ri int) {
-			cfg.ComputeDefUBD(a.Graphs[ri])
+		a.Stats.InitCPU = par.ForEachSpan(sp, "defubd", len(dirty), workers, func(i int) {
+			cfg.ComputeDefUBD(a.Graphs[dirty[i]])
 		})
 	})
 }

@@ -55,6 +55,58 @@ func TestMetricsDeterminism(t *testing.T) {
 	}
 }
 
+// TestComponentIterationsHistograms runs an analyze, a copy-mode
+// re-analysis and an in-place one into one registry, once per edit
+// kind. Every component solve feeds its phase's component-iterations
+// histogram, so the histogram's sum is the phase's iteration counter and
+// its count the number of solves.
+func TestComponentIterationsHistograms(t *testing.T) {
+	p := perfProgram()
+	for _, kind := range []progen.Mutation{progen.MutBodyEdit, progen.MutAddRoutine} {
+		m := obs.NewMetrics()
+		a, err := Analyze(p, WithMetrics(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc := a.CallGraph().NumComponents()
+		solves := [2]int{nc, nc}
+		mutant, _ := progen.MutateKind(p, 3, kind)
+		b, err := Reanalyze(a, mutant, WithMetrics(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ReanalyzeInPlace(b, p, WithMetrics(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inc := range []*IncrementalStats{b.Incremental, c.Incremental} {
+			solves[0] += inc.Phase1Components
+			solves[1] += inc.Phase2Components
+		}
+		snap := m.Snapshot()
+		for i, phase := range []string{"phase1", "phase2"} {
+			var iters uint64
+			for _, cv := range snap.Counters {
+				if cv.Name == phase+"/iterations" {
+					iters = cv.Value
+				}
+			}
+			var h obs.HistogramValue
+			for _, hv := range snap.Histograms {
+				if hv.Name == phase+"/component_iterations" {
+					h = hv
+				}
+			}
+			if h.Sum != iters {
+				t.Errorf("edit %v: %s/component_iterations sums to %d, %s/iterations is %d", kind, phase, h.Sum, phase, iters)
+			}
+			if h.Count != uint64(solves[i]) {
+				t.Errorf("edit %v: %s/component_iterations counts %d solves, want %d", kind, phase, h.Count, solves[i])
+			}
+		}
+	}
+}
+
 // TestAnalyzeTracing checks the span inventory: one span per pipeline
 // stage on the main thread, one per wave, and one component-solve span
 // per (component, phase) pair across the worker threads.
@@ -112,7 +164,7 @@ func TestAnalyzeTracing(t *testing.T) {
 		t.Errorf("phase2 component spans = %d, want %d", count["phase2 component"], nc)
 	}
 	nr := len(p.Routines)
-	for _, per := range []string{"cfg", "defubd", "label", "saved-restored-scan", "saved-restored"} {
+	for _, per := range []string{"cfg", "defubd", "label", "saved-restored"} {
 		if count[per] != nr {
 			t.Errorf("%s spans = %d, want %d (one per routine)", per, count[per], nr)
 		}
@@ -179,11 +231,13 @@ func pipelineShape(spans []obs.SpanData, tid int64, from int) []string {
 	return out
 }
 
-// TestRequestAndOfflineSpansAgree runs an analyze and one body-edit
-// reanalyze at parallelism 1 under an offline tree and under a
-// request's: the pipeline spans, projected to name, parent and args,
-// are identical, every stage nests under its analysis, and the request
-// tree holds no worker spans.
+// TestRequestAndOfflineSpansAgree runs an analyze, one body-edit
+// reanalyze and a rehydrate at parallelism 1 under an offline tree and
+// under a request's: the pipeline spans, projected to name, parent and
+// args, are identical, every stage nests under its analysis, the stages
+// come in one order — a reanalyze's are an analyze's after its diff, and
+// a rehydrate shares their first three — and the request tree holds no
+// worker spans.
 func TestRequestAndOfflineSpansAgree(t *testing.T) {
 	p := perfProgram()
 	mutant, _ := progen.MutateKind(p, 3, progen.MutBodyEdit)
@@ -194,6 +248,9 @@ func TestRequestAndOfflineSpansAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := Reanalyze(prev, mutant, WithParallelism(1), WithTracer(tr)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Rehydrate(p, prev.Export(), WithParallelism(1), WithTracer(tr)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,9 +285,11 @@ func TestRequestAndOfflineSpansAgree(t *testing.T) {
 			children[parent] = append(children[parent], sp.Name)
 		}
 	}
+	stages := []string{"cfg build", "init", "callgraph build", "psg build", "phase1", "phase2", "summaries"}
 	for name, want := range map[string][]string{
-		"analyze":   {"cfg build", "init", "psg build", "callgraph build", "phase1", "phase2", "summaries"},
-		"reanalyze": {"diff", "cfg build", "init", "callgraph build", "psg build", "phase1", "phase2", "summaries"},
+		"analyze":   stages,
+		"reanalyze": append([]string{"diff"}, stages...),
+		"rehydrate": stages[:3],
 	} {
 		if !reflect.DeepEqual(children[name], want) {
 			t.Errorf("%s stages = %v, want %v", name, children[name], want)

@@ -129,7 +129,7 @@ type phaseSched struct {
 	// loops' flush calls no-op.
 	obs1, obs2 phaseObs
 
-	// cancel is the AnalyzeContext cancellation channel (nil when the
+	// cancel is the analysis's cancellation channel (nil when the
 	// analysis is not cancellable). The scheduler polls it before each
 	// wave and component solve, and the solve loops poll it every
 	// cancelStride iterations, so a cancelled caller stops paying for
@@ -144,7 +144,7 @@ type phaseSched struct {
 	// their offset plus one (zero: not yet captured). The phase-2 cutoff
 	// compares against these snapshots because the slab being solved
 	// holds the previous values only until the solve overwrites them.
-	// Both nil outside re-analysis.
+	// Both nil in a from-scratch analysis, which has no cutoffs.
 	retAt   []int32
 	retVals []regset.Set
 }
@@ -401,30 +401,61 @@ func (s *phaseSched) computePriorities() {
 // hits and misses; Analyze reports them as unstable counters.
 var wlPool = obs.NewPool(func() any { return new(dataflow.Worklist) })
 
-// runWaves executes one phase's wave schedule, solving the components
-// of each wave concurrently on the worker pool and the waves in order.
-// It returns the wave count, the total worklist iterations (summed
-// deterministically per component), and the aggregate solver CPU time.
-// When metrics are on, each component's iteration count feeds the
-// phase's component-iterations histogram.
-func (s *phaseSched) runWaves(phase obs.Span, phase2 bool, po *phaseObs, schedule [][]int, solve func(s *phaseSched, c int) int) (waves, iters int, cpu time.Duration) {
-	// The waves partition the components, so one slab holds every
-	// wave's counts.
-	counts := make([]int, s.cg.NumComponents())
+// runDirty walks one phase's wave schedule — callee-first for phase 1,
+// caller-first for phase 2 — solving the dirty components of each wave
+// concurrently on the worker pool and the waves in order. After a wave,
+// each solved component is marked resolved, its iteration count feeds
+// the phase's component-iterations histogram, and its cutoff runs, which
+// may dirty components of later waves. It returns the number of waves
+// that solved a component, the total worklist iterations (summed
+// deterministically per component) and the aggregate solver CPU time.
+//
+// A nil cutoff means there is nothing to cut off against: every
+// component is dirty, as in a from-scratch analysis. Otherwise each
+// component's return-node liveness is snapshotted before the component
+// is first solved, for the phase-2 cutoff.
+func (s *phaseSched) runDirty(phase obs.Span, phase2 bool, dirty, resolved []bool, cutoff func(c int)) (waves, iters int, cpu time.Duration) {
+	schedule, po, solve := s.cg.CalleeFirstWaves(), &s.obs1, (*phaseSched).resolve1
+	if phase2 {
+		schedule, po, solve = s.cg.CallerFirstWaves(), &s.obs2, (*phaseSched).resolve2
+	}
+	// One slab holds the dirty components of a wave and their counts,
+	// sized by the largest wave.
+	most := 0
+	for _, wave := range schedule {
+		most = max(most, len(wave))
+	}
+	slab := make([]int, 2*most)
 	for wi, wave := range schedule {
 		if s.cancelled() {
 			break
 		}
-		wc := counts[:len(wave)]
-		counts = counts[len(wave):]
-		cpu += s.solveWave(phase, phase2, wi, wave, wc, solve)
-		for _, k := range wc {
-			iters += k
-			po.compIters.Observe(uint64(k))
+		todo := slab[:0:most]
+		for _, c := range wave {
+			if dirty[c] {
+				todo = append(todo, c)
+				if cutoff != nil {
+					s.snapshotRets(c)
+				}
+			}
+		}
+		if len(todo) == 0 {
+			continue
+		}
+		waves++
+		counts := slab[most : most+len(todo)]
+		cpu += s.solveWave(phase, phase2, wi, todo, counts, solve)
+		for i, c := range todo {
+			iters += counts[i]
+			po.compIters.Observe(uint64(counts[i]))
+			resolved[c] = true
+			if cutoff != nil {
+				cutoff(c)
+			}
 		}
 	}
 	po.iterations.Add(uint64(iters))
-	return len(schedule), iters, cpu
+	return waves, iters, cpu
 }
 
 // waveSpan and compSpan name the spans solveWave records, per phase.
@@ -438,8 +469,7 @@ var (
 // pool's CPU time. solve is a method expression, so passing it
 // allocates nothing. When tracing is on, the wave gets a span under phase
 // on the pipeline track and each component solve one under the wave on
-// its worker's track. The from-scratch and the incremental schedules
-// both solve through here.
+// its worker's track.
 func (s *phaseSched) solveWave(phase obs.Span, phase2 bool, wi int, comps, counts []int, solve func(s *phaseSched, c int) int) time.Duration {
 	k := 0
 	if phase2 {
@@ -484,55 +514,77 @@ func (s *phaseSched) prepareIndirect() {
 	}
 }
 
-// runPhase1 solves the Figure 8 equations component by component in
-// callee-first waves.
-//
+// prepPhase1Comp establishes component c's phase-1 starting state.
 // MAY sets start empty and grow; MUST-DEF starts optimistically at All
 // and shrinks under intersection, which is what lets recursive and
-// mutually recursive routines keep registers that every path through the
-// recursion defines. Nodes without outgoing edges (exits) recompute to
-// the empty set on their first visit, so the optimism is bounded by the
-// real paths. Direct call-return edges start optimistic too; the entry
-// broadcast refines them downward.
-func (s *phaseSched) runPhase1(sp obs.Span) (waves, iters int, cpu time.Duration) {
+// mutually recursive routines keep registers that every path through
+// the recursion defines. Nodes without outgoing edges (exits) recompute
+// to the empty set on their first visit, so the optimism is bounded by
+// the real paths. The component's call-return edges start optimistic
+// for in-component callees (they converge together, refined downward by
+// the entry broadcast) and carry the final converged summaries of
+// cross-component callees (those components settled in an earlier
+// callee-first wave, or were reused verbatim by a re-analysis;
+// phase1Use is the converged phase-1 MAY-USE either way). Indirect
+// edges start optimistic in a closed world with address-taken routines,
+// folding in those routines' summaries as they converge, and otherwise
+// carry the constant calling-standard summary (§3.5). This is exactly
+// the state the component has when its wave begins, whatever ran
+// before, so solvePhase1 lands on the same fixed point in a
+// from-scratch analysis and in a re-analysis.
+func (s *phaseSched) prepPhase1Comp(c int) {
 	g, conf := s.g, s.conf
-	s.prepareIndirect()
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
+	std := callstd.UnknownCallSummary()
+	haveAddr := len(s.addrTakenEntries) > 0
+	for _, nid := range s.nodes(c) {
+		n := &g.Nodes[nid]
 		n.MayUse, n.MayDef, n.MustDef = regset.Empty, regset.Empty, regset.All
 	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if e.Kind != EdgeCallReturn {
-			continue
-		}
-		if !e.indirect(g) || conf.LinkIndirectCalls {
-			// Direct edges are refined downward by the entry
-			// broadcast; closed-world indirect edges likewise fold in
-			// the address-taken summaries as they converge. Both need
-			// the optimistic MUST-DEF start.
-			e.MayUse, e.MayDef, e.MustDef = regset.Empty, regset.Empty, regset.All
-		}
-		// Open-world indirect edges keep the §3.5 calling-standard
-		// label set at construction.
-	}
-	if conf.LinkIndirectCalls && len(s.indirectEdges) > 0 && len(s.addrTakenEntries) == 0 {
-		// Closed world with no address-taken routine: no target can be
-		// invoked indirectly, so every indirect edge carries exactly the
-		// calling-standard summary — a constant, settled before any
-		// component runs.
-		std := callstd.UnknownCallSummary()
-		for _, eid := range s.indirectEdges {
+	for _, nid := range s.nodes(c) {
+		for _, eid := range g.OutEdges(int(nid)) {
 			e := &g.Edges[eid]
-			e.MayUse, e.MayDef, e.MustDef = std.Used, std.Killed, std.Defined
+			if e.Kind != EdgeCallReturn {
+				continue
+			}
+			call := &g.Nodes[e.Src]
+			if call.CallTarget < 0 {
+				switch {
+				case conf.LinkIndirectCalls && haveAddr:
+					e.MayUse, e.MayDef, e.MustDef = regset.Empty, regset.Empty, regset.All
+				default:
+					// Open world, or a closed world with no
+					// address-taken routine: the constant
+					// calling-standard label.
+					e.MayUse, e.MayDef, e.MustDef = std.Used, std.Killed, std.Defined
+				}
+				continue
+			}
+			entryID := g.EntryNodes[call.CallTarget][call.CallEntry]
+			if s.nodeComp[entryID] == int32(c) {
+				e.MayUse, e.MayDef, e.MustDef = regset.Empty, regset.Empty, regset.All
+				continue
+			}
+			entry := &g.Nodes[entryID]
+			sr := g.SavedRestored[call.CallTarget]
+			e.MayUse = entry.phase1Use.Minus(sr)
+			e.MayDef = entry.MayDef.Minus(sr)
+			e.MustDef = entry.MustDef.Minus(sr)
 		}
 	}
+}
 
-	waves, iters, cpu = s.runWaves(sp, false, &s.obs1, s.cg.CalleeFirstWaves(), (*phaseSched).solvePhase1)
-	for i := range g.Nodes {
-		g.Nodes[i].phase1Use = g.Nodes[i].MayUse
+// resolve1 solves component c's phase 1 from its prepared starting
+// state and snapshots the converged MAY-USE right away (later-wave preps
+// and the summary collection read phase1Use uniformly for reused and
+// re-solved components alike). It returns the worklist iterations.
+func (s *phaseSched) resolve1(c int) int {
+	g := s.g
+	s.prepPhase1Comp(c)
+	n := s.solvePhase1(c)
+	for _, nid := range s.nodes(c) {
+		g.Nodes[nid].phase1Use = g.Nodes[nid].MayUse
 	}
-	return waves, iters, cpu
+	return n
 }
 
 // solvePhase1 iterates one component's Figure 8 equations to a fixed
@@ -807,19 +859,16 @@ func (g *PSG) linkReturnSites(conf Config) {
 	g.depStart, g.depExitIDs = depStart, depIDs
 }
 
-// runPhase2 solves the Figure 10 equations in caller-first waves. The
-// MUST-DEF and MAY-USE labels of call-return edges computed during
-// phase 1 are retained (§3.3); node MAY-USE sets are recomputed from
-// scratch as liveness. A callee's exits read the converged liveness of
-// its callers' return nodes, which the caller-first order schedules
-// strictly earlier.
-func (s *phaseSched) runPhase2(sp obs.Span) (waves, iters int, cpu time.Duration) {
-	g := s.g
-	g.linkReturnSites(s.conf)
-	for i := range g.Nodes {
-		g.Nodes[i].MayUse = regset.Empty
+// resolve2 solves component c's phase 2 (§3.3): node MAY-USE sets
+// restart from empty as liveness, while the call-return edge labels of
+// phase 1 are retained. A callee's exits read the converged liveness of
+// its callers' return nodes, which the caller-first order settles
+// strictly earlier. It returns the worklist iterations.
+func (s *phaseSched) resolve2(c int) int {
+	for _, nid := range s.nodes(c) {
+		s.g.Nodes[nid].MayUse = regset.Empty
 	}
-	return s.runWaves(sp, true, &s.obs2, s.cg.CallerFirstWaves(), (*phaseSched).solvePhase2)
+	return s.solvePhase2(c)
 }
 
 // solvePhase2 iterates one component's liveness to a fixed point,

@@ -308,31 +308,6 @@ func PaperConfig() Config {
 
 // node construction -------------------------------------------------------
 
-// buildPSG creates the PSG nodes and intraprocedural flow-summary and
-// call-return edges for every routine (§3.1), labeling flow-summary edges
-// with the Figure 6 dataflow over each routine's def-use chains
-// (defuse.go).
-//
-// Construction is split into a serial structural pass and a parallel
-// labeling pass. The structural pass is layoutPSG with every routine
-// built. The labeling pass computes each routine's flow-summary edge
-// labels (the Figure 6 dataflow, the dominant cost of PSG construction)
-// on the worker pool over the routines' pooled chain slabs; each worker
-// writes only the Edge structs of its own routine, so the result is
-// byte-identical to a serial run. The returned duration is the
-// aggregate compute time across both passes (the stage's CPU time).
-// The passes record their spans under sp, the stage's span.
-func buildPSG(p *prog.Program, graphs []*cfg.Graph, conf Config, sp obs.Span) (*PSG, time.Duration) {
-	serial := time.Now()
-	ssp := sp.Begin("psg structure")
-	g, tasks := layoutPSG(p, graphs, conf, nil, nil)
-	ssp.Arg("nodes", int64(len(g.Nodes))).Arg("edges", int64(len(g.Edges))).End()
-	cpu := time.Since(serial)
-	cpu += g.labelAll(tasks, conf, sp)
-	cpu += g.computeSavedRestored(conf.Workers(), sp)
-	return g, cpu
-}
-
 // layoutPSG lays out a fresh PSG routine by routine in index order, so
 // node and edge IDs are deterministic — independent of
 // Config.Parallelism — and both slabs are routine-contiguous. A routine
@@ -414,8 +389,12 @@ func layoutPSG(p *prog.Program, graphs []*cfg.Graph, conf Config, prev *PSG, cle
 }
 
 // labelAll runs the labeling pass over tasks on the worker pool, under
-// a "label" span of sp, and then releases their chain-slab arena. It
-// returns the pass's aggregate compute time.
+// a "label" span of sp, and then releases their chain-slab arena. Each
+// task computes one routine's flow-summary edge labels (the Figure 6
+// dataflow over its def-use chains, defuse.go — the dominant cost of PSG
+// construction) and writes only that routine's Edge structs, so the
+// result is byte-identical to a serial run. It returns the pass's
+// aggregate compute time.
 func (g *PSG) labelAll(tasks []labelTask, conf Config, sp obs.Span) time.Duration {
 	flowEdges := conf.Metrics.Counter("label/flow_edges")
 	defuseLinks := conf.Metrics.Counter("label/defuse_links")

@@ -7,29 +7,28 @@ import (
 	"time"
 
 	"repro/internal/callgraph"
-	"repro/internal/callstd"
 	"repro/internal/cfg"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/prog"
-	"repro/internal/regset"
 )
 
-// Incremental re-analysis (edit → converged analysis without paying for
-// the whole program again).
+// The analysis engine: one pipeline behind Analyze, Reanalyze and
+// ReanalyzeInPlace. A re-analysis turns an edit into a converged
+// analysis without paying for the whole program again; Analyze is the
+// engine run against the empty analysis, where no routine has a previous
+// counterpart, so every routine is dirty and every component is solved.
 //
-// The engine exploits the structure the from-scratch pipeline already
-// has: every PSG edge is intraprocedural, cross-routine information
-// moves only through entry-summary broadcasts (phase 1) and return-site
-// links (phase 2), and each SCC component of the call graph is a
-// self-contained fixed-point problem once the components it depends on
-// have converged. A component solved from cold against converged inputs
-// lands on the same unique fixed point every time (DESIGN.md §6), so an
-// unedited component whose inputs did not change may keep its previous
-// converged sets verbatim, and an edited or affected component can be
-// re-solved in isolation against a mixture of reused and recomputed
-// neighbours — the result is byte-identical to Analyze on the patched
-// program.
+// The engine exploits the structure of the analysis: every PSG edge is
+// intraprocedural, cross-routine information moves only through
+// entry-summary broadcasts (phase 1) and return-site links (phase 2),
+// and each SCC component of the call graph is a self-contained
+// fixed-point problem once the components it depends on have converged.
+// A component solved from cold against converged inputs lands on the
+// same unique fixed point every time (DESIGN.md §6), so an unedited
+// component whose inputs did not change may keep its previous converged
+// sets verbatim, and an edited or affected component can be re-solved
+// in isolation against a mixture of reused and recomputed neighbours —
+// the result is byte-identical to Analyze on the patched program.
 //
 // The dirty set is computed per phase, over the condensation DAG:
 //
@@ -55,17 +54,17 @@ import (
 // the previous program. Clean routines keep their CFGs, call-graph edge
 // scans, §3.4 frame facts and converged PSG ranges.
 //
-// One engine serves both entry points; they differ only in where the
-// result's storage lives. Reanalyze leaves prev intact: the result
-// starts from copies of prev's node and edge slabs and per-routine
-// tables (CFGs, summaries, body hashes). ReanalyzeInPlace consumes
-// prev: the result takes over prev's own slabs and tables and writes
-// the edit into them, which makes an edit O(edit) instead of paying an
-// O(program) copy. Everything derived from the slab layout — the call
-// graph, the frame facts and §3.4 sets, the CSR adjacency and index
-// lists, the return-site links, the scheduler shape — may be shared
-// with older analyses of a re-analysis chain, so it is shared when
-// unchanged and replaced, never written in place, when not.
+// The two re-analysis entry points differ only in where the result's
+// storage lives. Reanalyze leaves prev intact: the result starts from
+// copies of prev's node and edge slabs and per-routine tables (CFGs,
+// summaries, body hashes). ReanalyzeInPlace consumes prev: the result
+// takes over prev's own slabs and tables and writes the edit into them,
+// which makes an edit O(edit) instead of paying an O(program) copy.
+// Everything derived from the slab layout — the call graph, the frame
+// facts and §3.4 sets, the CSR adjacency and index lists, the
+// return-site links, the scheduler shape — may be shared with older
+// analyses of a re-analysis chain, so it is shared when unchanged and
+// replaced, never written in place, when not.
 //
 // The engine makes one structural decision. An edit is shape-preserving
 // when every routine keeps the same PSG nodes and edges, so no node or
@@ -76,11 +75,10 @@ import (
 // rebuilt nodes carry their new blocks. The dirty routines' ranges are
 // then rebuilt in the destination slabs, verified against their
 // previous structure, and every layout-derived structure is kept.
-// Otherwise the general path lays out fresh slabs through Analyze's own
-// layout routine (layoutPSG), which copies clean routines' ranges from
-// prev with their IDs shifted to the new offsets and builds the rest,
-// and derives the lists, bounds and adjacency from the slabs (index)
-// exactly as a from-scratch analysis does.
+// Otherwise — and always for Analyze — the general path lays out fresh
+// slabs (layoutPSG), copying clean routines' ranges from prev with their
+// IDs shifted to the new offsets and building the rest, and derives the
+// lists, bounds and adjacency from the slabs (index).
 
 // IncrementalStats records what a re-analysis actually did: how much of
 // the previous analysis it reused and how much it re-solved. The
@@ -143,100 +141,89 @@ func ReanalyzeInPlace(prev *Analysis, patched *prog.Program, opts ...Option) (*A
 	return reanalyze(context.Background(), prev, patched, true, opts)
 }
 
-// reanalyze is the engine behind both entry points. inPlace lets the
-// result take over prev's storage.
+// reanalyze is the engine behind Analyze and both Reanalyze entry
+// points. inPlace lets the result take over prev's storage. Against the
+// empty analysis (no routines), which is how Analyze calls it, there is
+// nothing to diff, reuse or cut off: every routine is dirty, the general
+// layout path builds the whole PSG, every component is solved, and the
+// spans, error prefix and result are Analyze's.
 func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPlace bool, opts []Option) (*Analysis, error) {
 	conf := NewConfig(opts...)
 	conf.ctx = ctx
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: reanalyze: %w", err)
+	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
+	fresh := nOld == 0
+	name := "reanalyze"
+	if fresh {
+		name = "analyze"
 	}
-	if got, want := conf.Key(), prev.Config.Key(); got != want {
+	// cancelled is the between-stage cancellation point; the wave walk
+	// adds its own, per wave and inside the solve loops.
+	cancelled := func() error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: %s: %w", name, err)
+		}
+		return nil
+	}
+	if err := cancelled(); err != nil {
+		return nil, err
+	}
+	if fresh {
+		if err := patched.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	} else if got, want := conf.Key(), prev.Config.Key(); got != want {
 		return nil, &ConfigMismatchError{Want: want, Got: got}
 	}
 	workers := conf.Workers()
 	a := &Analysis{Prog: patched, Config: conf}
 	a.Stats.Parallelism = workers
-	nNew, nOld := len(patched.Routines), len(prev.Prog.Routines)
 	// own: the result takes over prev's slabs and per-routine tables,
 	// which needs an unchanged routine count; otherwise it works on
 	// copies.
 	own := inPlace && nNew == nOld
 
+	// Pool baselines: the worklist and def-use pools are process
+	// globals, so this run's hit/miss telemetry is the delta.
 	var wlGets0, wlNews0, duGets0, duNews0 uint64
 	if conf.Metrics != nil {
 		wlGets0, wlNews0 = wlPool.Stats()
 		duGets0, duNews0 = defusePool.Stats()
 	}
-	// The same stage spans as AnalyzeContext, plus the incremental-only
-	// "diff".
-	asp := conf.Tracer.Begin("reanalyze").Arg("routines", int64(nNew))
+	// Analyze's span and a re-analysis's share every stage but "diff".
+	asp := conf.Tracer.Begin(name).Arg("routines", int64(nNew))
+	if fresh {
+		asp.Arg("workers", int64(workers))
+	}
 	defer asp.End()
 
-	cancelled := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: reanalyze: %w", err)
-		}
-		return nil
-	}
-
 	// ---- diff ----------------------------------------------------------
-	// Pointer identity short-circuits hashing: a program produced by
-	// prog.ShallowClone plus clone-on-edit shares every untouched
-	// *Routine with prev's, so only the handful of replaced routines are
-	// hashed at all. Routines that are pointer-distinct but hash-equal
-	// (a rewrite landing on identical bytes, or a deep Clone) are still
-	// clean. The result adopts the hash table assembled here, so chained
-	// re-analyses never rescan clean bodies.
-	dsp := asp.Begin("diff")
-	prevHashes := prev.BodyHashes()
-	hashes := ownOrCopy(own, prevHashes, nNew)
-	clean := make([]bool, nNew)
+	var clean []bool
 	var dirty []int
-	for ri, r := range patched.Routines {
-		if ri < nOld && r == prev.Prog.Routines[ri] {
-			clean[ri] = true
-			continue
+	if fresh {
+		dirty = allRoutines(nNew)
+	} else {
+		clean, dirty = a.diff(asp, prev, own)
+		if err := validatePatched(patched, prev, dirty); err != nil {
+			return nil, err
 		}
-		h := r.Hash()
-		if ri < nOld && h == prevHashes[ri] {
-			clean[ri] = true
-			continue
+		if err := cancelled(); err != nil {
+			return nil, err
 		}
-		dirty = append(dirty, ri)
-		hashes[ri] = h
-	}
-	a.adoptBodyHashes(hashes)
-	dsp.Arg("dirty_routines", int64(len(dirty))).End()
-	asp.Arg("dirty_routines", int64(len(dirty)))
-
-	if err := validatePatched(patched, prev, dirty); err != nil {
-		return nil, err
-	}
-	if err := cancelled(); err != nil {
-		return nil, err
 	}
 
 	// ---- per-routine artifacts: CFGs and DEF/UBD -----------------------
-	// The replaced CFGs are kept aside for the shape and count deltas:
-	// in place, the table they live in is the result's.
-	oldGraphs := make([]*cfg.Graph, len(dirty))
-	for i, ri := range dirty {
-		if ri < nOld {
+	// The replaced CFGs are kept aside for the shape and count deltas,
+	// which only an unchanged routine count takes: in place, the table
+	// they live in is the result's.
+	var oldGraphs []*cfg.Graph
+	if nNew == nOld {
+		oldGraphs = make([]*cfg.Graph, len(dirty))
+		for i, ri := range dirty {
 			oldGraphs[i] = prev.Graphs[ri]
 		}
 	}
 	a.Graphs = ownOrCopy(own, prev.Graphs, nNew)
-	a.Stats.CFGBuild = stage(asp, "cfg build", func(sp obs.Span) {
-		a.Stats.CFGBuildCPU = par.ForEachSpan(sp, "cfg", len(dirty), workers, func(i int) {
-			a.Graphs[dirty[i]] = cfg.Build(patched, dirty[i])
-		})
-	})
-	a.Stats.Init = stage(asp, "init", func(sp obs.Span) {
-		a.Stats.InitCPU = par.ForEachSpan(sp, "defubd", len(dirty), workers, func(i int) {
-			cfg.ComputeDefUBD(a.Graphs[dirty[i]])
-		})
-	})
+	a.buildGraphs(asp, workers, dirty)
 	if err := cancelled(); err != nil {
 		return nil, err
 	}
@@ -262,10 +249,12 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 			tasks, exitsKept, shapeSame = a.assembleSameShape(prev, dirty, oldGraphs, own, conf)
 		}
 		if !shapeSame {
+			ssp := sp.Begin("psg structure")
 			a.PSG, tasks = layoutPSG(patched, a.Graphs, conf, prev.PSG, clean)
+			ssp.Arg("nodes", int64(len(a.PSG.Nodes))).Arg("edges", int64(len(a.PSG.Edges))).End()
 		}
 		cpu := time.Since(start) + a.PSG.labelAll(tasks, conf, sp)
-		srCPU, shared := a.incrementalSavedRestored(prev, cg, clean, dirty)
+		srCPU, shared := a.PSG.computeSavedRestored(prev.PSG, cg, dirty, workers, sp)
 		srShared = shared
 		a.Stats.PSGBuildCPU = cpu + srCPU
 		shape := int64(0)
@@ -306,7 +295,7 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	// changed, components holding indirect call sites must re-derive
 	// their labels even if no member routine was edited.
 	aggChanged := false
-	if conf.LinkIndirectCalls {
+	if conf.LinkIndirectCalls && !fresh {
 		aggChanged = !slices.Equal(cg.AddressTaken(), prevCG.AddressTaken())
 		for _, ri := range dirty {
 			if aggChanged {
@@ -336,28 +325,59 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 		sched = newPhaseSched(g, cg, conf)
 		sched.prepareIndirect()
 	}
-	sched.retAt = make([]int32, nComp)
 	a.schedShape = sched.shape()
+
+	// The cutoffs stop a re-analysis at the first layer of components
+	// whose inputs did not move. A from-scratch analysis marks every
+	// component dirty up front, so it has none, and no return-node
+	// snapshots for them to compare against.
+	var cutoff1, cutoff2 func(c int)
+	if !fresh {
+		sched.retAt = make([]int32, nComp)
+		// Phase 1: dirty the callers of routines whose outward summary
+		// moved. Callers live in strictly later callee-first waves (or
+		// this component, already converged), so the marks land ahead of
+		// the walk.
+		cutoff1 = func(c int) {
+			for _, ri := range cg.Members(c) {
+				if !a.entrySummaryChanged(prev, ri) {
+					continue
+				}
+				for _, caller := range cg.Callers(ri) {
+					if cc := cg.Component(caller); !resolved1[cc] {
+						dirtyComp[cc] = true
+					}
+				}
+			}
+		}
+		// Phase 2: a callee's exits re-read our return nodes through
+		// their return-site links; only a return node whose liveness
+		// moved can disturb them. Callee components sit in strictly later
+		// caller-first waves (or in this one, already converged).
+		cutoff2 = func(c int) {
+			snap := sched.retSnapshot(c)
+			for _, nid := range sched.nodes(c) {
+				n := &g.Nodes[nid]
+				if n.Kind != NodeReturn {
+					continue
+				}
+				changed := !clean[n.Routine] || snap[0] != n.MayUse
+				snap = snap[1:]
+				if !changed {
+					continue
+				}
+				for _, x := range g.exitDeps(n.ID) {
+					if xc := sched.nodeComp[x]; int(xc) != c && !resolved2[xc] {
+						dirty2[xc] = true
+					}
+				}
+			}
+		}
+	}
 
 	// ---- phase 1 -------------------------------------------------------
 	a.Stats.Phase1 = stage(asp, "phase1", func(sp obs.Span) {
-		a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runDirty(sp, false, dirtyComp, resolved1,
-			// Cutoff: dirty the callers of routines whose outward summary
-			// moved. Callers live in strictly later callee-first waves (or
-			// this component, already converged), so the marks land ahead
-			// of the walk.
-			func(c int) {
-				for _, ri := range cg.Members(c) {
-					if !a.entrySummaryChanged(prev, ri) {
-						continue
-					}
-					for _, caller := range cg.Callers(ri) {
-						if cc := cg.Component(caller); !resolved1[cc] {
-							dirtyComp[cc] = true
-						}
-					}
-				}
-			})
+		a.Stats.Phase1Waves, a.Stats.Phase1Iterations, a.Stats.Phase1CPU = sched.runDirty(sp, false, dirtyComp, resolved1, cutoff1)
 		sp.Arg("waves", int64(a.Stats.Phase1Waves)).Arg("iterations", int64(a.Stats.Phase1Iterations))
 	})
 	if err := cancelled(); err != nil {
@@ -373,67 +393,13 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 		} else {
 			g.linkReturnSites(conf)
 		}
+		// Every component phase 1 re-solved holds phase-1 values in its
+		// node MAY-USE sets, not liveness.
 		copy(dirty2, resolved1)
-		markCallees := func(pg *callgraph.Graph, ri int) {
-			for _, t := range pg.Callees(ri) {
-				if t < nNew {
-					dirty2[cg.Component(t)] = true
-				}
-			}
+		if !fresh {
+			markRelinked(dirty2, prev, a, dirty, aggChanged)
 		}
-		for _, ri := range dirty {
-			// The edit may have added or removed call sites; the previous
-			// and the current callees' exits both see their return-site link
-			// structure change.
-			markCallees(cg, ri)
-			if ri < nOld {
-				markCallees(prevCG, ri)
-			}
-		}
-		for ri := nNew; ri < nOld; ri++ {
-			// Removed routines take their call sites with them.
-			markCallees(prevCG, ri)
-		}
-		if conf.LinkIndirectCalls {
-			indirectRets := aggChanged
-			for _, ri := range dirty {
-				indirectRets = indirectRets || cg.HasIndirectCall(ri) || (ri < nOld && prevCG.HasIndirectCall(ri))
-			}
-			for ri := nNew; ri < nOld; ri++ {
-				indirectRets = indirectRets || prevCG.HasIndirectCall(ri)
-			}
-			if indirectRets {
-				// Indirect return sites link to every address-taken exit;
-				// any change to the site population re-links them all.
-				for _, ri := range cg.AddressTaken() {
-					dirty2[cg.Component(ri)] = true
-				}
-			}
-		}
-		a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runDirty(sp, true, dirty2, resolved2,
-			// Cutoff: a callee's exits re-read our return nodes through
-			// their return-site links; only a return node whose liveness
-			// moved can disturb them. Callee components sit in strictly
-			// later caller-first waves (or in this one, already converged).
-			func(c int) {
-				snap := sched.retSnapshot(c)
-				for _, nid := range sched.nodes(c) {
-					n := &g.Nodes[nid]
-					if n.Kind != NodeReturn {
-						continue
-					}
-					changed := !clean[n.Routine] || snap[0] != n.MayUse
-					snap = snap[1:]
-					if !changed {
-						continue
-					}
-					for _, x := range g.exitDeps(n.ID) {
-						if xc := sched.nodeComp[x]; int(xc) != c && !resolved2[xc] {
-							dirty2[xc] = true
-						}
-					}
-				}
-			})
+		a.Stats.Phase2Waves, a.Stats.Phase2Iterations, a.Stats.Phase2CPU = sched.runDirty(sp, true, dirty2, resolved2, cutoff2)
 		sp.Arg("waves", int64(a.Stats.Phase2Waves)).Arg("iterations", int64(a.Stats.Phase2Iterations))
 	})
 	if err := cancelled(); err != nil {
@@ -441,39 +407,138 @@ func reanalyze(ctx context.Context, prev *Analysis, patched *prog.Program, inPla
 	}
 
 	// ---- finish --------------------------------------------------------
-	inc := &IncrementalStats{DirtyRoutines: len(dirty), ShapePreserving: shapeSame}
 	stage(asp, "summaries", func(obs.Span) {
 		// Summaries of unresolved components are byte-equal to prev's: their
 		// converged node sets were carried over verbatim and their
 		// SavedRestored did not move (a moved set seeds phase-1 dirtiness).
-		// Routines the patch added sit past prev's table.
+		// Every dirty routine, the patch's added ones included, sits in a
+		// resolved component, and phase 2 re-solves every component phase 1
+		// did.
 		a.Summaries = ownOrCopy(own, prev.Summaries, nNew)
-		for ri := nOld; ri < nNew; ri++ {
-			a.Summaries[ri] = a.collectSummary(ri)
-		}
 		for c := 0; c < nComp; c++ {
-			if resolved1[c] {
-				inc.Phase1Components++
-			}
 			if resolved2[c] {
-				inc.Phase2Components++
-			}
-			if resolved1[c] || resolved2[c] {
-				inc.ResolvedComponents++
 				for _, ri := range cg.Members(c) {
 					a.Summaries[ri] = a.collectSummary(ri)
 				}
 			}
 		}
-		inc.ReusedComponents = nComp - inc.ResolvedComponents
-		a.Incremental = inc
+		if !fresh {
+			a.Incremental = incrementalStats(len(dirty), shapeSame, resolved1, resolved2)
+		}
 		a.collectCountsIncremental(prev, dirty, oldGraphs, shapeSame)
 		a.prepareQueries()
 	})
-	asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
-		Arg("reused_components", int64(inc.ReusedComponents))
+	if inc := a.Incremental; inc != nil {
+		asp.Arg("resolved_components", int64(inc.ResolvedComponents)).
+			Arg("reused_components", int64(inc.ReusedComponents))
+	}
 	a.publishMetrics(wlGets0, wlNews0, duGets0, duNews0)
 	return a, nil
+}
+
+// allRoutines returns the indices of n routines, every one dirty.
+func allRoutines(n int) []int {
+	all := make([]int, n)
+	for ri := range all {
+		all[ri] = ri
+	}
+	return all
+}
+
+// diff records the "diff" stage: it marks each routine of a.Prog clean
+// when routine ri of prev's program has the same body, and returns the
+// clean marks and the dirty routines in index order. Pointer identity
+// short-circuits hashing: a program produced by prog.ShallowClone plus
+// clone-on-edit shares every untouched *Routine with prev's, so only the
+// handful of replaced routines are hashed at all. Routines that are
+// pointer-distinct but hash-equal (a rewrite landing on identical bytes,
+// or a deep Clone) are still clean. The result adopts the hash table
+// assembled here, so chained re-analyses never rescan clean bodies.
+func (a *Analysis) diff(asp obs.Span, prev *Analysis, own bool) (clean []bool, dirty []int) {
+	dsp := asp.Begin("diff")
+	nOld := len(prev.Prog.Routines)
+	prevHashes := prev.BodyHashes()
+	hashes := ownOrCopy(own, prevHashes, len(a.Prog.Routines))
+	clean = make([]bool, len(a.Prog.Routines))
+	for ri, r := range a.Prog.Routines {
+		if ri < nOld && r == prev.Prog.Routines[ri] {
+			clean[ri] = true
+			continue
+		}
+		h := r.Hash()
+		if ri < nOld && h == prevHashes[ri] {
+			clean[ri] = true
+			continue
+		}
+		dirty = append(dirty, ri)
+		hashes[ri] = h
+	}
+	a.adoptBodyHashes(hashes)
+	dsp.Arg("dirty_routines", int64(len(dirty))).End()
+	asp.Arg("dirty_routines", int64(len(dirty)))
+	return clean, dirty
+}
+
+// markRelinked marks for phase 2 the components whose return-site link
+// structure an edit changed: the previous and the current callees of
+// every edited routine (the edit may have added or removed call sites),
+// the callees of removed routines, and — in a closed world, when
+// anything about indirect call sites or the address-taken set changed —
+// every address-taken component, since indirect return sites link to all
+// of their exits.
+func markRelinked(dirty2 []bool, prev, a *Analysis, dirty []int, aggChanged bool) {
+	cg, prevCG := a.callGraph, prev.callGraph
+	nNew, nOld := len(a.Prog.Routines), len(prev.Prog.Routines)
+	markCallees := func(pg *callgraph.Graph, ri int) {
+		for _, t := range pg.Callees(ri) {
+			if t < nNew {
+				dirty2[cg.Component(t)] = true
+			}
+		}
+	}
+	for _, ri := range dirty {
+		markCallees(cg, ri)
+		if ri < nOld {
+			markCallees(prevCG, ri)
+		}
+	}
+	for ri := nNew; ri < nOld; ri++ {
+		markCallees(prevCG, ri)
+	}
+	if !a.Config.LinkIndirectCalls {
+		return
+	}
+	indirectRets := aggChanged
+	for _, ri := range dirty {
+		indirectRets = indirectRets || cg.HasIndirectCall(ri) || (ri < nOld && prevCG.HasIndirectCall(ri))
+	}
+	for ri := nNew; ri < nOld; ri++ {
+		indirectRets = indirectRets || prevCG.HasIndirectCall(ri)
+	}
+	if indirectRets {
+		for _, ri := range cg.AddressTaken() {
+			dirty2[cg.Component(ri)] = true
+		}
+	}
+}
+
+// incrementalStats counts a re-analysis's reuse from the per-component
+// resolved marks of the two phases.
+func incrementalStats(dirtyRoutines int, shapeSame bool, resolved1, resolved2 []bool) *IncrementalStats {
+	inc := &IncrementalStats{DirtyRoutines: dirtyRoutines, ShapePreserving: shapeSame}
+	for c := range resolved1 {
+		if resolved1[c] {
+			inc.Phase1Components++
+		}
+		if resolved2[c] {
+			inc.Phase2Components++
+		}
+		if resolved1[c] || resolved2[c] {
+			inc.ResolvedComponents++
+		}
+	}
+	inc.ReusedComponents = len(resolved1) - inc.ResolvedComponents
+	return inc
 }
 
 // ownOrCopy returns the result's version of one of prev's per-routine
@@ -649,69 +714,6 @@ func (a *Analysis) linksUnchanged(prev *Analysis, dirty []int, exitsKept bool) b
 	return true
 }
 
-// incrementalSavedRestored recomputes the §3.4 sets: clean routines
-// keep their cached body facts (PSG.FrameFacts), dirty routines are
-// re-scanned, and the serial call-graph fixed point runs over the
-// mixture. The call-graph's deduplicated callee lists are equivalent to
-// frameScan's per-site lists for the fixed point.
-//
-// When the call graph is a structural reuse of prev's and every dirty
-// routine re-scans to its previous body facts, the fixed point's inputs
-// are untouched — the previous frames and SavedRestored slices are
-// shared outright (both read-only), skipping the O(routines) solve.
-// The returned flag reports that sharing, which also tells the caller
-// no per-routine SavedRestored comparison can fire.
-func (a *Analysis) incrementalSavedRestored(prev *Analysis, cg *callgraph.Graph, clean []bool, dirty []int) (time.Duration, bool) {
-	start := time.Now()
-	g := a.PSG
-	n := len(a.Prog.Routines)
-	prevFrames := prev.PSG.FrameFacts()
-	dirtyFrames := make([]FrameFact, len(dirty))
-	same := cg.StructureReused() && n == len(prevFrames)
-	for i, ri := range dirty {
-		r := a.Prog.Routines[ri]
-		scratch := frameScratch{
-			deltas: make([]int64, len(r.Code)),
-			flags:  make([]uint8, len(r.Code)),
-			work:   make([]int32, 0, len(r.Code)),
-		}
-		var fi frameInfo
-		frameScan(&fi, r, &scratch)
-		f := FrameFact{Clean: fi.clean, HasIndirect: fi.hasIndirect}
-		if fi.clean {
-			f.LocalSaved = savedRestored(r, &fi)
-		}
-		dirtyFrames[i] = f
-		same = same && f == prevFrames[ri]
-	}
-	if same {
-		g.frames = prevFrames
-		g.SavedRestored = prev.PSG.SavedRestored
-		return time.Since(start), true
-	}
-	g.SavedRestored = make([]regset.Set, n)
-	g.frames = make([]FrameFact, n)
-	for ri := range clean {
-		if clean[ri] {
-			g.frames[ri] = prevFrames[ri]
-		}
-	}
-	for i, ri := range dirty {
-		g.frames[ri] = dirtyFrames[i]
-	}
-	callees := make([][]int, n)
-	for ri := 0; ri < n; ri++ {
-		callees[ri] = cg.Callees(ri)
-	}
-	preserving := solvePreserving(g.frames, callees, cg.AddressTaken())
-	for ri := 0; ri < n; ri++ {
-		if preserving[ri] {
-			g.SavedRestored[ri] = g.frames[ri].LocalSaved
-		}
-	}
-	return time.Since(start), false
-}
-
 // collectCountsIncremental fills the structural counts from prev's by
 // per-dirty-routine deltas, avoiding the O(routines) CFG walks. The
 // result is exactly collectCounts' — every term is a per-routine sum
@@ -746,121 +748,6 @@ func (a *Analysis) collectCountsIncremental(prev *Analysis, dirty []int, oldGrap
 	st.PSGNodes = a.PSG.NumNodes()
 	st.PSGEdges = a.PSG.NumEdges()
 	st.GraphBytes = uint64(bytes)
-}
-
-// prepPhase1Comp re-establishes component c's phase-1 starting state:
-// member nodes reset to the optimistic lattice start and member
-// call-return edges re-derived — optimistic for in-component callees
-// (they reconverge together), final converged labels for cross-component
-// callees (those components settled in an earlier wave or were reused
-// verbatim; phase1Use is the converged phase-1 MAY-USE either way), and
-// the runPhase1 treatment for indirect edges. After this the component
-// is in exactly the state a from-scratch phase 1 has when its wave
-// begins, so solvePhase1 lands on the identical fixed point.
-func (s *phaseSched) prepPhase1Comp(c int) {
-	g, conf := s.g, s.conf
-	std := callstd.UnknownCallSummary()
-	haveAddr := len(s.addrTakenEntries) > 0
-	for _, nid := range s.nodes(c) {
-		n := &g.Nodes[nid]
-		n.MayUse, n.MayDef, n.MustDef = regset.Empty, regset.Empty, regset.All
-	}
-	for _, nid := range s.nodes(c) {
-		for _, eid := range g.OutEdges(int(nid)) {
-			e := &g.Edges[eid]
-			if e.Kind != EdgeCallReturn {
-				continue
-			}
-			call := &g.Nodes[e.Src]
-			if call.CallTarget < 0 {
-				switch {
-				case conf.LinkIndirectCalls && haveAddr:
-					e.MayUse, e.MayDef, e.MustDef = regset.Empty, regset.Empty, regset.All
-				default:
-					// Open world, or a closed world with no
-					// address-taken routine: the constant
-					// calling-standard label.
-					e.MayUse, e.MayDef, e.MustDef = std.Used, std.Killed, std.Defined
-				}
-				continue
-			}
-			entryID := g.EntryNodes[call.CallTarget][call.CallEntry]
-			if s.nodeComp[entryID] == int32(c) {
-				e.MayUse, e.MayDef, e.MustDef = regset.Empty, regset.Empty, regset.All
-				continue
-			}
-			entry := &g.Nodes[entryID]
-			sr := g.SavedRestored[call.CallTarget]
-			e.MayUse = entry.phase1Use.Minus(sr)
-			e.MayDef = entry.MayDef.Minus(sr)
-			e.MustDef = entry.MustDef.Minus(sr)
-		}
-	}
-}
-
-// runDirty walks one phase's wave schedule — callee-first for phase 1,
-// caller-first for phase 2 — re-solving only the dirty components of
-// each wave, concurrently, and then marking each one resolved and
-// running its cutoff, which may dirty components of later waves. Before
-// a component is re-solved for the first time its return nodes'
-// previous liveness is snapshotted for the phase-2 cutoff. The waves
-// and component solves are traced under phase like runWaves's; the
-// component-iterations histograms stay the from-scratch solve's.
-func (s *phaseSched) runDirty(phase obs.Span, phase2 bool, dirty, resolved []bool, cutoff func(c int)) (waves, iters int, cpu time.Duration) {
-	schedule, po, solve := s.cg.CalleeFirstWaves(), &s.obs1, (*phaseSched).resolve1
-	if phase2 {
-		schedule, po, solve = s.cg.CallerFirstWaves(), &s.obs2, (*phaseSched).resolve2
-	}
-	var todo, counts []int
-	for wi, wave := range schedule {
-		if s.cancelled() {
-			break
-		}
-		todo = todo[:0]
-		for _, c := range wave {
-			if dirty[c] {
-				todo = append(todo, c)
-				s.snapshotRets(c)
-			}
-		}
-		if len(todo) == 0 {
-			continue
-		}
-		waves++
-		counts = append(counts[:0], make([]int, len(todo))...)
-		cpu += s.solveWave(phase, phase2, wi, todo, counts, solve)
-		for i, c := range todo {
-			iters += counts[i]
-			resolved[c] = true
-			cutoff(c)
-		}
-	}
-	po.iterations.Add(uint64(iters))
-	return waves, iters, cpu
-}
-
-// resolve1 re-solves component c's phase 1, restarting it from its
-// prepared starting state, and snapshots the converged MAY-USE right
-// away (later-wave preps and the summary collection read phase1Use
-// uniformly for reused and re-solved components alike). It returns the
-// worklist iterations.
-func (s *phaseSched) resolve1(c int) int {
-	g := s.g
-	s.prepPhase1Comp(c)
-	n := s.solvePhase1(c)
-	for _, nid := range s.nodes(c) {
-		g.Nodes[nid].phase1Use = g.Nodes[nid].MayUse
-	}
-	return n
-}
-
-// resolve2 re-solves component c's phase 2, restarting liveness from
-// empty, and returns the worklist iterations.
-func (s *phaseSched) resolve2(c int) int {
-	for _, nid := range s.nodes(c) {
-		s.g.Nodes[nid].MayUse = regset.Empty
-	}
-	return s.solvePhase2(c)
 }
 
 // entrySummaryChanged compares routine ri's outward entry summary — the

@@ -226,7 +226,8 @@ func RehydrateContext(ctx context.Context, p *prog.Program, st *SavedState, opts
 		Arg("workers", int64(workers))
 	defer asp.End()
 
-	a.buildGraphs(asp, workers)
+	a.Graphs = make([]*cfg.Graph, len(p.Routines))
+	a.buildGraphs(asp, workers, allRoutines(len(p.Routines)))
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: rehydrate: %w", err)
 	}

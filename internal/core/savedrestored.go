@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/callgraph"
 	"repro/internal/callstd"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -12,29 +13,27 @@ import (
 )
 
 // frameSlabs is the scratch memory of one computeSavedRestored run:
-// the per-instruction delta/flag/work slabs, the sizing prefix sums,
-// the callee/call-delta/clobber windows and the per-routine frameInfo
-// records. Everything here dies when computeSavedRestored returns, so
+// the per-instruction delta/flag/work slabs, their sizing prefix sums,
+// the scanned routines' frame facts and their call-delta/clobber
+// windows. Everything here dies when computeSavedRestored returns, so
 // the slabs are pooled and reused across analyses — they are the
 // largest transient allocation of a PSG build.
 type frameSlabs struct {
-	off         []int
-	deltas      []int64
-	flags       []uint8
-	work        []int32
-	infos       []frameInfo
-	calleeLists [][]int
+	off    []int
+	deltas []int64
+	flags  []uint8
+	work   []int32
+	facts  []FrameFact
 
-	// perR holds each routine's callee/call-delta/clobber output buffers.
-	// They grow by append on first contact with a routine and keep their
-	// capacity across runs (the pool pairs slab index ri with routine ri
-	// every time), so the steady state allocates nothing and no sizing
-	// pre-scan of the instructions is needed.
+	// perR holds each scanned routine's call-delta/clobber output
+	// buffers. They grow by append on first contact and keep their
+	// capacity across runs (the pool pairs slab index i with the i-th
+	// scanned routine every time), so the steady state allocates nothing
+	// and no sizing pre-scan of the instructions is needed.
 	perR []frameBufs
 }
 
 type frameBufs struct {
-	callees    []int
 	callDeltas []int64
 	clobbers   []int64
 }
@@ -48,10 +47,10 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// growSlabs resizes the per-instruction slabs for a program with n
-// routines and code instructions in total. Only flags needs clearing:
-// deltas entries are meaningful only under flagSeen, work starts as an
-// empty window, and infos entries are fully overwritten.
+// growSlabs resizes the slabs for n scanned routines with code
+// instructions in total. Only flags needs clearing: deltas entries are
+// meaningful only under flagSeen, work starts as an empty window, and
+// facts entries are fully overwritten.
 func (fs *frameSlabs) growSlabs(n, code int) {
 	if cap(fs.deltas) < code {
 		fs.deltas = make([]int64, code)
@@ -62,13 +61,11 @@ func (fs *frameSlabs) growSlabs(n, code int) {
 	fs.flags = fs.flags[:code]
 	fs.work = fs.work[:code]
 	clear(fs.flags)
-	if cap(fs.infos) < n {
-		fs.infos = make([]frameInfo, n)
-		fs.calleeLists = make([][]int, n)
+	if cap(fs.facts) < n {
+		fs.facts = make([]FrameFact, n)
 		fs.perR = make([]frameBufs, n)
 	}
-	fs.infos = fs.infos[:n]
-	fs.calleeLists = fs.calleeLists[:n]
+	fs.facts = fs.facts[:n]
 	fs.perR = fs.perR[:n]
 }
 
@@ -78,85 +75,92 @@ func (fs *frameSlabs) growSlabs(n, code int) {
 // propagate to callers: after phase 1 computes an entry node's sets, the
 // routine's saved-and-restored registers are removed from them.
 //
-// The detection runs in three passes. A parallel frame scan derives,
-// per routine, the stack-pointer delta of every reachable instruction
-// and checks the frame discipline that makes save slots trustworthy
-// (see frameScan). A serial fixed point then propagates discipline
-// through the call graph: a routine's frame is only intact if every
-// routine it calls leaves sp where it found it. Finally a parallel pass
-// re-scans the prologues and epilogues of the disciplined routines,
-// invalidating any save slot a body store or a deeper-stacked call may
-// have overwritten.
-func (g *PSG) computeSavedRestored(workers int, sp obs.Span) time.Duration {
-	n := len(g.Prog.Routines)
-	g.SavedRestored = make([]regset.Set, n)
-	g.frames = make([]FrameFact, n)
+// Only the dirty routines' bodies are read. A parallel pass derives each
+// one's frame facts: the stack-pointer delta of every reachable
+// instruction and the frame discipline that makes save slots trustworthy
+// (frameScan), then the save slots no body store or deeper-stacked call
+// overwrites (savedRestored). Every other routine keeps prev's facts,
+// which depend only on its unchanged body; prev is nil when every
+// routine is dirty. A serial fixed point then propagates discipline
+// through the call graph (solvePreserving): a routine's frame is only
+// intact if every routine it calls leaves sp where it found it.
+//
+// When the call graph is a structural reuse of prev's and every dirty
+// routine scans to its previous facts, the fixed point's inputs are
+// untouched, so prev's frames and SavedRestored slices are shared
+// outright (both read-only), skipping the O(routines) solve. The
+// returned flag reports that sharing, which also tells the caller no
+// routine's set moved.
+func (g *PSG) computeSavedRestored(prev *PSG, cg *callgraph.Graph, dirty []int, workers int, sp obs.Span) (time.Duration, bool) {
 	fs := framePool.Get().(*frameSlabs)
+	defer framePool.Put(fs)
 
-	var addrTaken []int
-	for ri, r := range g.Prog.Routines {
-		if r.AddressTaken {
-			addrTaken = append(addrTaken, ri)
-		}
-	}
-
-	// One slab per per-instruction scratch array, sliced per routine:
-	// the workers write disjoint ranges, and the hot path stays within
-	// its allocation budget (see core's perf tests). The callee,
-	// call-delta and clobber outputs append into per-routine buffers
-	// that keep their capacity across runs.
-	off := growInts(fs.off, n+1)
+	// One slab per per-instruction scratch array, sliced per scanned
+	// routine: the workers write disjoint ranges, and the hot path stays
+	// within its allocation budget (see core's perf tests).
+	off := growInts(fs.off, len(dirty)+1)
 	fs.off = off
 	off[0] = 0
-	for ri, r := range g.Prog.Routines {
-		off[ri+1] = off[ri] + len(r.Code)
+	for i, ri := range dirty {
+		off[i+1] = off[i] + len(g.Prog.Routines[ri].Code)
 	}
-	fs.growSlabs(n, off[n])
-	infos := fs.infos
+	fs.growSlabs(len(dirty), off[len(dirty)])
+	facts := fs.facts
 
-	d := par.ForEachSpan(sp, "saved-restored-scan", n, workers, func(ri int) {
-		lo, hi := off[ri], off[ri+1]
-		bufs := &fs.perR[ri]
+	cpu := par.ForEachSpan(sp, "saved-restored", len(dirty), workers, func(i int) {
+		r := g.Prog.Routines[dirty[i]]
+		lo, hi := off[i], off[i+1]
+		bufs := &fs.perR[i]
 		scratch := frameScratch{
 			deltas:       fs.deltas[lo:hi],
 			flags:        fs.flags[lo:hi],
 			work:         fs.work[lo:hi:hi],
-			callees:      bufs.callees[:0],
 			callDeltas:   bufs.callDeltas[:0],
 			bodyClobbers: bufs.clobbers[:0],
 		}
-		frameScan(&infos[ri], g.Prog.Routines[ri], &scratch)
-		g.frames[ri] = FrameFact{Clean: infos[ri].clean, HasIndirect: infos[ri].hasIndirect}
+		var fi frameInfo
+		frameScan(&fi, r, &scratch)
+		// LocalSaved is computed for every clean-frame routine, not only
+		// the preserving ones: it depends solely on the routine's own
+		// body, so a later re-analysis can re-run the call-graph fixed
+		// point over cached facts without rescanning any body.
+		f := FrameFact{Clean: fi.clean, HasIndirect: fi.hasIndirect}
+		if fi.clean {
+			f.LocalSaved = savedRestored(r, &fi)
+		}
+		facts[i] = f
+		// Keep whatever capacity the appends grew for the next run.
+		*bufs = frameBufs{callDeltas: fi.callDeltas, clobbers: fi.bodyClobbers}
 	})
 
-	callees := fs.calleeLists
-	for ri := range infos {
-		callees[ri] = infos[ri].callees
-		// Keep whatever capacity the appends grew for the next run.
-		fs.perR[ri] = frameBufs{
-			callees:    infos[ri].callees,
-			callDeltas: infos[ri].callDeltas,
-			clobbers:   infos[ri].bodyClobbers,
+	start := time.Now()
+	var prevFrames []FrameFact
+	if prev != nil {
+		prevFrames = prev.frames
+	}
+	n := len(g.Prog.Routines)
+	if cg.StructureReused() && len(prevFrames) == n {
+		same := true
+		for i, ri := range dirty {
+			same = same && facts[i] == prevFrames[ri]
+		}
+		if same {
+			g.frames, g.SavedRestored = prevFrames, prev.SavedRestored
+			return cpu + time.Since(start), true
 		}
 	}
-	preserving := solvePreserving(g.frames, callees, addrTaken)
-
-	d += par.ForEachSpan(sp, "saved-restored", n, workers, func(ri int) {
-		// localSaved is computed for every clean-frame routine, not only
-		// the preserving ones: it depends solely on the routine's own
-		// body, so the incremental re-analysis can re-run the call-graph
-		// fixed point over cached facts without rescanning any body.
-		if g.frames[ri].Clean {
-			g.frames[ri].LocalSaved = savedRestored(g.Prog.Routines[ri], &infos[ri])
-		}
-		if preserving[ri] {
+	g.frames = make([]FrameFact, n)
+	copy(g.frames, prevFrames) // every routine past prev's or not clean is dirty
+	for i, ri := range dirty {
+		g.frames[ri] = facts[i]
+	}
+	g.SavedRestored = make([]regset.Set, n)
+	for ri, ok := range solvePreserving(g.frames, cg) {
+		if ok {
 			g.SavedRestored[ri] = g.frames[ri].LocalSaved
-		} else {
-			g.SavedRestored[ri] = regset.Empty
 		}
-	})
-	framePool.Put(fs)
-	return d
+	}
+	return cpu + time.Since(start), false
 }
 
 // FrameFact caches what the §3.4 frame passes learned about one
@@ -175,13 +179,12 @@ type FrameFact struct {
 
 // solvePreserving runs the greatest fixed point deciding which
 // routines' save slots survive their calls: a routine preserves the
-// frame only if its own frame is clean and every callee — including,
-// for routines with indirect calls, every address-taken routine —
-// preserves it transitively. Mutual recursion between disciplined
-// routines stays disciplined.
-func solvePreserving(facts []FrameFact, callees [][]int, addrTaken []int) []bool {
-	n := len(facts)
-	preserving := make([]bool, n)
+// frame only if its own frame is clean and every callee in the call
+// graph — including, for routines with indirect calls, every
+// address-taken routine — preserves it transitively. Mutual recursion
+// between disciplined routines stays disciplined.
+func solvePreserving(facts []FrameFact, cg *callgraph.Graph) []bool {
+	preserving := make([]bool, len(facts))
 	for ri := range facts {
 		preserving[ri] = facts[ri].Clean
 	}
@@ -192,14 +195,14 @@ func solvePreserving(facts []FrameFact, callees [][]int, addrTaken []int) []bool
 				continue
 			}
 			ok := true
-			for _, callee := range callees[ri] {
-				if callee < 0 || callee >= n || !preserving[callee] {
+			for _, callee := range cg.Callees(ri) {
+				if !preserving[callee] {
 					ok = false
 					break
 				}
 			}
 			if ok && facts[ri].HasIndirect {
-				for _, callee := range addrTaken {
+				for _, callee := range cg.AddressTaken() {
 					if !preserving[callee] {
 						ok = false
 						break
@@ -226,11 +229,10 @@ type frameInfo struct {
 	// unknown-target jump.
 	clean bool
 
-	// callees lists the routines this one calls directly; hasIndirect
-	// marks the presence of indirect calls, which solvePreserving
-	// expands to the address-taken set (every callee the program itself
-	// can name; the calling standard covers callees outside it).
-	callees     []int
+	// hasIndirect marks the presence of indirect calls, which
+	// solvePreserving expands to the address-taken set (every callee the
+	// program itself can name; the calling standard covers callees
+	// outside it).
 	hasIndirect bool
 
 	// bodyClobbers are the entry-sp-relative slots written by reachable
@@ -270,7 +272,6 @@ type frameScratch struct {
 	flags  []uint8
 	work   []int32
 
-	callees      []int
 	callDeltas   []int64
 	bodyClobbers []int64
 }
@@ -295,7 +296,6 @@ func frameScan(fi *frameInfo, r *prog.Routine, scratch *frameScratch) {
 	*fi = frameInfo{
 		clean:        true,
 		flags:        scratch.flags,
-		callees:      scratch.callees,
 		callDeltas:   scratch.callDeltas,
 		bodyClobbers: scratch.bodyClobbers,
 	}
@@ -420,7 +420,6 @@ func frameScan(fi *frameInfo, r *prog.Routine, scratch *frameScratch) {
 			case isa.OpHalt:
 				// Ends the program; no frame to restore.
 			case isa.OpJsr:
-				fi.callees = append(fi.callees, in.Target)
 				fi.callDeltas = append(fi.callDeltas, d)
 				next = i + 1
 			case isa.OpJsrInd:

@@ -28,6 +28,7 @@ import (
 //	  jmp   t0, T0         ; multiway branch through table T0
 //	  jmp   t0, ?          ; indirect jump, unknown targets
 //	  jsr   helper         ; direct call by routine name
+//	  jsr   helper, 1      ; ... to the routine's entrance 1 (Entries order)
 //	  jsri  pv             ; indirect call
 //	  print v0
 //	  ret
@@ -391,7 +392,15 @@ func (b *routineBuilder) parseInstr(line string, lineNo int) error {
 			in.Table = ti
 		}
 	case isa.FmtCall:
-		if err = need(1); err != nil {
+		// An optional second operand selects the callee's entrance
+		// (Instr.Imm, an index into its Entries); omitted, it is 0.
+		if len(operands) == 2 {
+			sel, perr := strconv.ParseInt(operands[1], 10, 64)
+			if perr != nil || sel < 0 {
+				return errf("bad entrance selector %q", operands[1])
+			}
+			in.Imm = sel
+		} else if err = need(1); err != nil {
 			return err
 		}
 		b.calls = append(b.calls, callRef{len(b.code), operands[0], lineNo})
@@ -538,6 +547,9 @@ func disasmRoutine(sb *strings.Builder, p *Program, r *Routine) {
 		switch {
 		case in.Op == isa.OpJsr:
 			fmt.Fprintf(sb, "jsr %s", p.Routines[in.Target].Name)
+			if in.Imm != 0 {
+				fmt.Fprintf(sb, ", %d", in.Imm)
+			}
 		case in.Op == isa.OpJmp && in.Table != isa.UnknownTable:
 			fmt.Fprintf(sb, "jmp %s, T%d", in.Src1, in.Table)
 		case in.Op.IsBranch() && in.Op != isa.OpJmp:

@@ -292,3 +292,38 @@ func patchOf(t *testing.T, p, edited *prog.Program, id string) (api.PatchRequest
 	}
 	return req, want
 }
+
+// TestPatchWithOwnDisassemblyKeepsIdentity patches a routine that calls
+// a secondary entrance with the routine's own disassembly, the text a
+// client reads back from the daemon's program: the patched program is
+// the base program, so the response names the base's ID and nothing is
+// dirty.
+func TestPatchWithOwnDisassemblyKeepsIdentity(t *testing.T) {
+	vc, _ := progen.ProfileByName("vc")
+	text := prog.Disassemble(progen.Generate(vc.Scale(0.02), progen.DefaultOptions(1)))
+	p, err := prog.Assemble(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller := -1
+	for ri, r := range p.Routines {
+		for _, in := range r.Code {
+			if in.Op == isa.OpJsr && in.Imm != 0 {
+				caller = ri
+			}
+		}
+	}
+	if caller < 0 {
+		t.Fatal("no routine calls a secondary entrance")
+	}
+	_, c := newTestClient(t, Config{})
+	id := c.mustLoadRequest(api.LoadRequest{Asm: text})
+	resp := c.mustPatch(id, api.Options{}, p.Routines[caller].Name, routineAsm(p, caller))
+	if resp.Program.ID != id {
+		t.Errorf("patching %s with its own disassembly gave program %s, want the base %s",
+			p.Routines[caller].Name, resp.Program.ID, id)
+	}
+	if resp.Incremental.DirtyRoutines != 0 {
+		t.Errorf("dirty routines = %d, want 0", resp.Incremental.DirtyRoutines)
+	}
+}
