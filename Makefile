@@ -9,9 +9,10 @@ GO ?= go
 # root, the per-stage allocation benchmarks in internal/core, the
 # analysis-service endpoint benchmarks (BenchmarkServe*, routed into the
 # document's "serve" section with queries/sec and latency quantiles),
-# the daemon's write path (BenchmarkPatchRoute), and the SXE image
-# encoder in full and spliced (BenchmarkEncode, BenchmarkSplice).
-BENCH_SET = BenchmarkAnalyzeParallel$$|BenchmarkPhasesParallel$$|BenchmarkPSGBuild$$|BenchmarkPhases$$|BenchmarkTable2AnalyzeGcc$$|BenchmarkTable2AnalyzeAcad$$|BenchmarkRestoreAcad$$|BenchmarkServe|BenchmarkReanalyze|BenchmarkOptimize|BenchmarkPatchRoute$$|BenchmarkEncode$$|BenchmarkSplice$$
+# the daemon's write and upload paths (BenchmarkPatchRoute,
+# BenchmarkLoadRoute), the SXE image encoder in full and spliced
+# (BenchmarkEncode, BenchmarkSplice), and the decoder (BenchmarkDecode).
+BENCH_SET = BenchmarkAnalyzeParallel$$|BenchmarkPhasesParallel$$|BenchmarkPSGBuild$$|BenchmarkPhases$$|BenchmarkTable2AnalyzeGcc$$|BenchmarkTable2AnalyzeAcad$$|BenchmarkRestoreAcad$$|BenchmarkServe|BenchmarkReanalyze|BenchmarkOptimize|BenchmarkPatchRoute$$|BenchmarkLoadRoute$$|BenchmarkEncode$$|BenchmarkSplice$$|BenchmarkDecode$$
 # The per-routine labeling benchmarks are microsecond-scale, so three
 # iterations are dominated by first-run slab allocation; they get a
 # steady-state iteration count of their own.
@@ -136,6 +137,7 @@ soak-ci:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzIndentCompact -fuzztime 30s -fuzzminimizetime 5s -count=1
 	$(GO) test ./internal/api/ -run '^$$' -fuzz FuzzAppendDoc -fuzztime 30s -fuzzminimizetime 5s -count=1
 	$(GO) test ./internal/sxe/ -run '^$$' -fuzz FuzzSplice -fuzztime 30s -fuzzminimizetime 5s -count=1
+	$(GO) test ./internal/sxe/ -run '^$$' -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 5s -count=1
 
 # Incremental re-analysis soak: the incremental oracle alone, over
 # CHECK_INCR_N (program, mutation) pairs — every Reanalyze result is

@@ -235,3 +235,31 @@ func BenchmarkPatchRoute(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoadRoute is the daemon's upload path through
+// Server.Handler(), without a network: every iteration posts the image
+// of a vc@0.1 program (about 50k instructions) to /v1/programs as
+// json.Marshal writes the request, and the daemon decodes it and
+// registers the program under its ID.
+func BenchmarkLoadRoute(b *testing.B) {
+	prof, _ := progen.ProfileByName("vc")
+	image, err := sxe.Encode(progen.Generate(prof.Scale(0.1), progen.DefaultOptions(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload, err := json.Marshal(api.LoadRequest{SXE: image})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/programs", bytes.NewReader(payload)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("load: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 func (s *Server) handleLoad(r *http.Request) (int, any) {
 	var req api.LoadRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeLoad(r, &req); err != nil {
 		return decodeError(api.SchemaVersion, err)
 	}
 	lp, err := s.load(&req)

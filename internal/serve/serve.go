@@ -19,6 +19,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -386,6 +387,83 @@ func decodeBody(r *http.Request, v any) error {
 	return json.NewDecoder(body).Decode(v)
 }
 
+// decodeLoad decodes a /v1/programs body into req as decodeBody would.
+// A body whose declared Content-Length fits maxBodyBytes is read whole
+// first, and when it is exactly what json.Marshal writes for a
+// LoadRequest carrying only an image — {"sxe":"…"}, perhaps newline
+// terminated — its base64 is decoded straight from the buffer, sparing
+// the JSON scanner's passes over the string. Any other body, a short
+// read or a base64 error replays the bytes read, then the read's error,
+// into decodeBody's json.Decoder, so statuses and error texts are
+// decodeBody's.
+func decodeLoad(r *http.Request, req *api.LoadRequest) error {
+	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
+		return decodeBody(r, req)
+	}
+	buf, err := readDeclared(r.Body, int(r.ContentLength))
+	if len(buf) == int(r.ContentLength) {
+		if b64, ok := bareImage(buf); ok {
+			img := make([]byte, base64.StdEncoding.DecodedLen(len(b64)))
+			if n, err := base64.StdEncoding.Decode(img, b64); err == nil {
+				req.SXE = img[:n]
+				return nil
+			}
+		}
+	}
+	var body io.Reader = bytes.NewReader(buf)
+	if err != nil && err != io.EOF {
+		body = io.MultiReader(body, errReader{err})
+	}
+	return json.NewDecoder(body).Decode(req)
+}
+
+// readDeclared reads up to n bytes of body into one buffer and returns
+// them with the error that ended the read, if any (io.EOF included; an
+// error may come with the last byte). The buffer grows with the bytes
+// that arrive, from at most 1 MiB, so a client that declares a large
+// body and sends little holds little memory.
+func readDeclared(body io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 1<<20))
+	var err error
+	for len(buf) < n && err == nil {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		var k int
+		k, err = body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+	}
+	return buf, err
+}
+
+// bareImage returns the string of a body that holds exactly
+// {"sxe":"…"}, perhaps newline terminated, with no quote, backslash, CR
+// or LF inside the string. The base64 decoder skips CR and LF, which
+// JSON refuses raw; once it accepts the rest, every byte was in the
+// base64 alphabet, which JSON reads verbatim, so the image is the one
+// json.Decoder would give.
+func bareImage(body []byte) ([]byte, bool) {
+	body = bytes.TrimSuffix(body, []byte("\n"))
+	s, ok := bytes.CutPrefix(body, []byte(`{"sxe":"`))
+	if !ok {
+		return nil, false
+	}
+	if s, ok = bytes.CutSuffix(s, []byte(`"}`)); !ok {
+		return nil, false
+	}
+	for _, c := range []byte("\"\\\r\n") {
+		if bytes.IndexByte(s, c) >= 0 {
+			return nil, false
+		}
+	}
+	return s, true
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
 // decodeError is the reply, stamped with the route's schema, to a body
 // decodeBody rejected: 413 when it exceeds maxBodyBytes, 400 otherwise.
 func decodeError(schema string, err error) (int, any) {
@@ -398,8 +476,10 @@ func decodeError(schema string, err error) (int, any) {
 }
 
 // load resolves a LoadRequest into a registered program. The identity
-// is the hash of the canonical re-encoding, so the same program loaded
-// as assembly, raw image or path lands on the same cache slot.
+// is the hash of the canonical encoding, so the same program loaded as
+// assembly, raw image or path lands on the same cache slot. An SXE image
+// already in canonical form is kept as the program's image byte for
+// byte; any other image, and assembly, is encoded.
 func (s *Server) load(req *api.LoadRequest) (*loadedProgram, error) {
 	sources := 0
 	for _, set := range []bool{req.Path != "", req.Asm != "", len(req.SXE) > 0} {
@@ -412,6 +492,7 @@ func (s *Server) load(req *api.LoadRequest) (*loadedProgram, error) {
 	}
 	var (
 		p   *prog.Program
+		img *sxe.Image
 		err error
 	)
 	switch {
@@ -422,19 +503,18 @@ func (s *Server) load(req *api.LoadRequest) (*loadedProgram, error) {
 			return nil, err
 		}
 		if len(data) >= len(sxe.Magic) && bytes.Equal(data[:len(sxe.Magic)], sxe.Magic[:]) {
-			p, err = sxe.Decode(data)
+			p, img, err = sxe.DecodeImage(data)
 		} else {
 			p, err = prog.Assemble(string(data))
 		}
 	case req.Asm != "":
 		p, err = prog.Assemble(req.Asm)
 	default:
-		p, err = sxe.Decode(req.SXE)
+		p, img, err = sxe.DecodeImage(req.SXE)
 	}
-	if err != nil {
-		return nil, err
+	if err == nil && img == nil {
+		img, err = sxe.EncodeImage(p)
 	}
-	img, err := sxe.EncodeImage(p)
 	if err != nil {
 		return nil, err
 	}

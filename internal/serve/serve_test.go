@@ -272,7 +272,8 @@ func TestOversizedBody413(t *testing.T) {
 
 // TestLoadIdentity pins the content-hash identity: the same program
 // loaded as assembly text, raw SXE upload and filesystem path lands on
-// the same program ID, so all three share cached analyses.
+// the same program ID, so all three share cached analyses, and so does
+// an upload of an image that is not in canonical form.
 func TestLoadIdentity(t *testing.T) {
 	_, c := newTestClient(t, Config{})
 	idAsm := c.mustLoad()
@@ -311,6 +312,39 @@ func TestLoadIdentity(t *testing.T) {
 	}
 	if resp.Program.ID != idAsm {
 		t.Errorf("path load ID %s != asm ID %s", resp.Program.ID, idAsm)
+	}
+
+	// An image of the same program that is not in canonical form is
+	// re-encoded, so it lands on the canonical upload's ID. The program
+	// has two identical jump tables; the image points the second
+	// table's offset at the first table's copy, and writes the entry
+	// index as a two-byte uvarint.
+	twin, err := sxe.Encode(prog.MustAssemble(`
+.start main
+.routine main
+.table T0 = a, b
+.table T1 = a, b
+  lda t9, 1(zero)
+  jmp t9, T0
+a:
+  jmp t9, T1
+b:
+  halt
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append([]byte(nil), twin[:len(twin)-4]...)
+	// Routine main's tables (two, each [a, b] = [2, 3]) and table
+	// offsets (two: 0 and 3).
+	i := bytes.Index(body, []byte{2, 2, 2, 3, 2, 2, 3, 2, 0, 3})
+	if i < 0 || body[4] != 0 {
+		t.Fatal("unexpected image layout")
+	}
+	body[i+9] = 0
+	odd := resealed(append(append(body[:4:4], 0x80, 0), body[5:]...))
+	if idTwin, idOdd := c.mustLoadRequest(api.LoadRequest{SXE: twin}), c.mustLoadRequest(api.LoadRequest{SXE: odd}); idOdd != idTwin {
+		t.Errorf("non-canonical upload ID %s != canonical upload ID %s", idOdd, idTwin)
 	}
 }
 

@@ -307,57 +307,120 @@ func appendInstr(buf []byte, in *isa.Instr) []byte {
 // Decode parses an SXE image, verifies its checksum, and validates the
 // resulting program.
 func Decode(data []byte) (*prog.Program, error) {
+	p, _, err := decode(data)
+	return p, err
+}
+
+// DecodeImage is Decode, also returning the program's image: the bytes
+// and layout EncodeImage gives for the decoded program. When data is
+// already those bytes — every varint in its shortest form, no flag bit
+// but address-taken, one table offset per table, and the data segment
+// and table offsets packed as the encoder packs them — the image keeps
+// data itself, and the caller must not modify data afterwards. Any
+// other input is re-encoded.
+func DecodeImage(data []byte) (*prog.Program, *Image, error) {
+	p, recs, err := decode(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if recs == nil {
+		img, err := EncodeImage(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p, img, nil
+	}
+	img := newImage(p)
+	img.Bytes, img.recs = data[:len(data):len(data)], recs
+	return p, img, nil
+}
+
+// decode is Decode. When data is exactly what EncodeImage writes for the
+// program, it also returns where each routine's record starts and, last,
+// where the checksum does; for any other input recs is nil.
+func decode(data []byte) (p *prog.Program, recs []int, err error) {
 	if len(data) < len(Magic)+4 {
-		return nil, ErrBadMagic
+		return nil, nil, ErrBadMagic
 	}
 	if !bytes.Equal(data[:4], Magic[:]) {
-		return nil, ErrBadMagic
+		return nil, nil, ErrBadMagic
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	sum := fnv.New32a()
 	sum.Write(body)
 	if binary.LittleEndian.Uint32(tail) != sum.Sum32() {
-		return nil, ErrChecksum
+		return nil, nil, ErrChecksum
 	}
 	rd := &reader{data: body, pos: 4}
-	p := prog.New()
+	p = prog.New()
 	entry, err := rd.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nd, err := rd.count()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < nd; i++ {
 		w, err := rd.varint()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		p.Data = append(p.Data, w)
 	}
 	nr, err := rd.count()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < nr; i++ {
-		r, err := decodeRoutine(rd)
+		recs = append(recs, rd.pos)
+		r, err := rd.routine()
 		if err != nil {
-			return nil, fmt.Errorf("sxe: routine %d: %w", i, err)
+			return nil, nil, fmt.Errorf("sxe: routine %d: %w", i, err)
+		}
+		if _, dup := p.Index(r.Name); dup {
+			return nil, nil, fmt.Errorf("sxe: routine %d: duplicate name %q", i, r.Name)
 		}
 		p.Add(r)
 	}
 	if rd.pos != len(body) {
-		return nil, fmt.Errorf("sxe: %d trailing bytes", len(body)-rd.pos)
+		return nil, nil, fmt.Errorf("sxe: %d trailing bytes", len(body)-rd.pos)
 	}
 	p.Entry = int(entry)
 	if err := extractAndCheckTables(p); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("sxe: decoded program invalid: %w", err)
+		return nil, nil, fmt.Errorf("sxe: decoded program invalid: %w", err)
 	}
-	return p, nil
+	if rd.noncanonical || !packedCanonically(p) {
+		return p, nil, nil
+	}
+	return p, append(recs, rd.pos), nil
+}
+
+// packedCanonically reports whether p's data segment and table offsets
+// are those the encoder derives from its tables: every table packed in
+// routine order, each routine carrying one offset per table.
+func packedCanonically(p *prog.Program) bool {
+	off := 0
+	for ri, r := range p.Routines {
+		if len(r.TableOffsets) != len(r.Tables) {
+			return false
+		}
+		for ti, t := range r.Tables {
+			if r.TableOffsets[ti] != off || off+1+len(t) > len(p.Data) || p.Data[off] != int64(len(t)) {
+				return false
+			}
+			for k, tgt := range t {
+				if p.Data[off+1+k] != prog.CodeAddr(ri, tgt) {
+					return false
+				}
+			}
+			off += 1 + len(t)
+		}
+	}
+	return off == len(p.Data)
 }
 
 // extractAndCheckTables performs the §3.5 jump-table extraction for
@@ -397,7 +460,8 @@ func extractAndCheckTables(p *prog.Program) error {
 	return nil
 }
 
-func decodeRoutine(rd *reader) (*prog.Routine, error) {
+// routine reads one routine record.
+func (rd *reader) routine() (*prog.Routine, error) {
 	nameLen, err := rd.count()
 	if err != nil {
 		return nil, err
@@ -409,6 +473,9 @@ func decodeRoutine(rd *reader) (*prog.Routine, error) {
 	flags, err := rd.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if flags&^flagAddressTaken != 0 {
+		rd.noncanonical = true
 	}
 	r := &prog.Routine{Name: string(name), AddressTaken: flags&flagAddressTaken != 0}
 	ne, err := rd.count()
@@ -456,59 +523,74 @@ func decodeRoutine(rd *reader) (*prog.Routine, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Code = make([]isa.Instr, 0, nc)
-	for i := 0; i < nc; i++ {
-		in, err := decodeInstr(rd)
-		if err != nil {
+	// Every instruction record takes at least minInstrBytes, so a forged
+	// count cannot make the slice below outgrow the image many times over.
+	if nc > (len(rd.data)-rd.pos)/minInstrBytes {
+		return nil, errTruncated
+	}
+	r.Code = make([]isa.Instr, nc)
+	for i := range r.Code {
+		if err := rd.instr(&r.Code[i]); err != nil {
 			return nil, err
 		}
-		r.Code = append(r.Code, in)
 	}
 	return r, nil
 }
 
-func decodeInstr(rd *reader) (isa.Instr, error) {
-	var in isa.Instr
-	hdr, err := rd.bytes(4)
-	if err != nil {
-		return in, err
+// minInstrBytes is the shortest instruction record: four header bytes
+// and one byte each for imm, target and table.
+const minInstrBytes = 7
+
+// instr reads one instruction record into in. In most records the imm,
+// target and table varints take one byte each: those are read here
+// without a call, and any longer one goes through uvarint.
+func (rd *reader) instr(in *isa.Instr) error {
+	d, p := rd.data, rd.pos
+	if p+4 > len(d) {
+		return errTruncated
 	}
-	in.Op = isa.Opcode(hdr[0])
+	in.Op = isa.Opcode(d[p])
 	if !in.Op.Valid() {
-		return in, fmt.Errorf("invalid opcode %d", hdr[0])
+		return fmt.Errorf("invalid opcode %d", d[p])
 	}
-	in.Dest = regset.Reg(hdr[1])
-	in.Src1 = regset.Reg(hdr[2])
-	in.Src2 = regset.Reg(hdr[3])
-	if in.Imm, err = rd.varint(); err != nil {
-		return in, err
+	in.Dest, in.Src1, in.Src2 = regset.Reg(d[p+1]), regset.Reg(d[p+2]), regset.Reg(d[p+3])
+	if p+minInstrBytes <= len(d) && d[p+4]|d[p+5]|d[p+6] < 0x80 {
+		in.Imm = unzigzag(uint64(d[p+4]))
+		in.Target = int(d[p+5])
+		in.Table = int(unzigzag(uint64(d[p+6])))
+		rd.pos = p + minInstrBytes
+	} else {
+		rd.pos = p + 4
+		imm, err := rd.varint()
+		if err != nil {
+			return err
+		}
+		tgt, err := rd.uvarint()
+		if err != nil {
+			return err
+		}
+		tbl, err := rd.varint()
+		if err != nil {
+			return err
+		}
+		in.Imm, in.Target, in.Table = imm, int(tgt), int(tbl)
 	}
-	tgt, err := rd.uvarint()
-	if err != nil {
-		return in, err
-	}
-	in.Target = int(tgt)
-	tbl, err := rd.varint()
-	if err != nil {
-		return in, err
-	}
-	in.Table = int(tbl)
 	if in.Op.Format() == isa.FmtSets {
 		u, err := rd.uvarint()
 		if err != nil {
-			return in, err
+			return err
 		}
 		d, err := rd.uvarint()
 		if err != nil {
-			return in, err
+			return err
 		}
 		k, err := rd.uvarint()
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Use, in.Def, in.Kill = regset.Set(u), regset.Set(d), regset.Set(k)
 	}
-	return in, nil
+	return nil
 }
 
 // WriteFile encodes p and writes it to w.
@@ -533,6 +615,11 @@ func Read(r io.Reader) (*prog.Program, error) {
 type reader struct {
 	data []byte
 	pos  int
+
+	// noncanonical is set by a field the encoder would have written
+	// otherwise: a varint longer than its shortest form, or a flag bit
+	// other than address-taken.
+	noncanonical bool
 }
 
 var errTruncated = errors.New("sxe: truncated image")
@@ -560,20 +647,24 @@ func (r *reader) count() (int, error) {
 	return int(n), nil
 }
 
+// uvarint reads a uvarint. A uvarint longer than one byte is in its
+// shortest form exactly when its last byte is not zero.
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
 		return 0, errTruncated
 	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, errTruncated
+	if n > 1 && r.data[r.pos+n-1] == 0 {
+		r.noncanonical = true
 	}
 	r.pos += n
 	return v, nil
 }
+
+// varint reads a zig-zag varint, as binary.Varint does.
+func (r *reader) varint() (int64, error) {
+	u, err := r.uvarint()
+	return unzigzag(u), err
+}
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
